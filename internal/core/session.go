@@ -21,12 +21,12 @@
 //     specs) is unchanged does not invalidate its callers' artifacts, even
 //     though its own body was rebuilt.
 //
-// Everything rebuilt is lowered from the cached AST with the same
-// deterministic per-declaration lowering the monolithic pipeline uses, so a
-// warm Update yields an Analysis whose reports, witnesses, and size
-// statistics are byte-identical to a from-scratch build of the same
-// sources. Session state is only committed once the whole update has
-// succeeded; a parse or lowering error leaves the previous state intact.
+// Everything rebuilt is lowered from the cached AST with deterministic
+// per-declaration lowering, so a warm Update yields an Analysis whose
+// reports, witnesses, and size statistics are byte-identical to a
+// from-scratch build of the same sources. Session state is only committed
+// once the whole update has succeeded; a parse or lowering error leaves
+// the previous state intact.
 package core
 
 import (
@@ -157,7 +157,7 @@ func (s *Session) UnitCount() int { return len(s.files) }
 // metadata (name, AST hash, summary/signature/dependency fingerprints)
 // in declaration order. Two sessions that analyzed the same program —
 // at any worker count, cold or warm — produce equal fingerprints; the
-// build-determinism tests and bench.MeasureBuild gate on this.
+// build-determinism tests (TestBuildWavefront*) gate on this.
 func (s *Session) ArtifactFingerprint() string {
 	h := sha256.New()
 	for _, name := range s.order {

@@ -2,8 +2,6 @@ package detect
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/checkers"
@@ -155,11 +153,11 @@ func CheckAll(prog *Program, specs []*checkers.Spec, opts Options) Results {
 		}
 	}
 	searchSp := rec.Phase("detect/search")
-	runParallel(len(tasks), workers, func(w, i int) {
+	conc.ForEach(len(tasks), workers, func(w, i int) error {
 		t := tasks[i]
 		if rec == nil {
 			results[i] = runTask(prog, specs, opts, c, lc, t, w+1)
-			return
+			return nil
 		}
 		t0 := time.Now()
 		results[i] = runTask(prog, specs, opts, c, lc, t, w+1)
@@ -179,6 +177,7 @@ func CheckAll(prog *Program, specs []*checkers.Spec, opts Options) Results {
 			}
 			rec.Event(w+1, "task:"+specs[t.specIdx].Name, t0, d, args...)
 		}
+		return nil
 	})
 	searchSp.End()
 
@@ -243,17 +242,18 @@ func prepare(prog *Program, specs []*checkers.Spec, workers int) {
 		}
 	}
 	funcs := prog.Module.Funcs
-	runParallel(len(funcs), workers, func(_, i int) {
+	conc.ForEach(len(funcs), workers, func(_, i int) error {
 		f := funcs[i]
 		g := prog.SEGs[f]
 		if g == nil {
-			return
+			return nil
 		}
 		prog.Infos[f].PrepareCDConds()
 		g.EnsureValueNodes()
 		if needReach {
 			g.PrecomputeReach()
 		}
+		return nil
 	})
 }
 
@@ -343,38 +343,4 @@ func addStats(dst *Stats, s Stats) {
 	dst.SummaryCapHits += s.SummaryCapHits
 	dst.TruncatedSearches += s.TruncatedSearches
 	dst.Escaped += s.Escaped
-}
-
-// runParallel executes fn(worker, 0..n-1) on up to `workers` goroutines,
-// pulling indexes from an atomic counter (the same pool shape as the build
-// half's forEachFunc). The worker index lets callers attribute work to
-// pool slots (per-worker utilization, trace tracks) without locking.
-func runParallel(n, workers int, fn func(w, i int)) {
-	if workers <= 1 || n < 2 {
-		for i := 0; i < n; i++ {
-			fn(0, i)
-		}
-		return
-	}
-	if workers > n {
-		workers = n
-	}
-	var (
-		wg   sync.WaitGroup
-		next int64
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1)) - 1
-				if i >= n {
-					return
-				}
-				fn(w, i)
-			}
-		}(w)
-	}
-	wg.Wait()
 }

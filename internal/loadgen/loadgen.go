@@ -42,10 +42,6 @@ type Spec struct {
 	Subject SubjectSpec `json:"subject"`
 	// Clients are the concurrent client groups.
 	Clients []ClientSpec `json:"clients"`
-	// SubjectOverride, when non-nil, bypasses Subject.Name resolution —
-	// in-process harnesses (bench.MeasureServe) pass synthetic subjects
-	// that have no workload registry entry.
-	SubjectOverride *workload.Subject `json:"-"`
 }
 
 // SubjectSpec selects and sizes the workload program.
@@ -239,9 +235,7 @@ func (s *Spec) subject() (workload.Subject, workload.GenOptions) {
 		Name: "bench-serve", Origin: "synthetic", PaperKLoC: 60,
 		TrueBugs: 6, OpaqueTraps: 4,
 	}
-	if s.SubjectOverride != nil {
-		subj = *s.SubjectOverride
-	} else if s.Subject.Name != "" {
+	if s.Subject.Name != "" {
 		if named, ok := workload.SubjectByName(s.Subject.Name); ok {
 			subj = named
 		}
@@ -254,7 +248,7 @@ func (s *Spec) subject() (workload.Subject, workload.GenOptions) {
 }
 
 // editUnit inserts a distinct statement after the driver-function opening
-// line of unit u (the bench incremental-edit idiom): the n-th edit yields
+// line of unit u: the n-th edit yields
 // a body different from the (n-1)-th, so consecutive requests dirty
 // exactly one function each.
 func editUnit(u minic.NamedSource, n int) minic.NamedSource {

@@ -1,26 +1,13 @@
 // Command jsoncheck validates that each argument file parses as a single
-// JSON document. scripts/bench.sh and scripts/serve_smoke.sh use it to
-// refuse truncated or malformed output without depending on tools outside
-// the Go toolchain.
+// JSON document. The smoke scripts (scripts/serve_smoke.sh,
+// scripts/serve_load.sh, scripts/store_restart.sh) use it to refuse
+// truncated or malformed output without depending on tools outside the Go
+// toolchain.
 //
-// With -schema serve, each file is additionally validated against the
-// BENCH_serve.json shape: a non-empty scenarios array whose entries carry
-// positive request counts, tenant counts, positive finite throughput, and
-// a latency summary with no zero durations — a snapshot that "passes"
-// with 0ms latencies or NaN throughput would poison the trend history
-// silently. The multi-tenant pair is gated too: the tenants scenario must
-// drive at least two tenants and out-throughput tenants-serial, the
-// identical load serialized on one session.
+//	go run ./scripts/jsoncheck file.json...
 //
-// With -schema detect or -schema build, the file is validated as a
-// worker-scaling ladder (BENCH_detect.json / BENCH_build.json): rows
-// start at workers=1 with speedup 1, every row has positive wall time and
-// finite positive speedup, and — when the snapshot was taken on a
-// multi-core machine (gomaxprocs > 1) — the ladder must hold at least two
-// rows including one at workers=gomaxprocs. The build schema additionally
-// requires the determinism bit (`equivalent`: byte-identical reports and
-// artifact fingerprints across worker counts) and, on multi-core, a
-// strict speedup > 1 at the full-machine row.
+// Exit status: 0 if every file holds exactly one JSON document, 1 on the
+// first file that does not (or cannot be read), 2 on a usage error.
 package main
 
 import (
@@ -28,230 +15,42 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"math"
+	"io"
 	"os"
 )
 
 func main() {
-	schema := flag.String("schema", "", `optional schema to validate against ("serve", "detect", "build")`)
-	flag.Parse()
-	if flag.NArg() < 1 {
-		fmt.Fprintln(os.Stderr, "usage: jsoncheck [-schema serve|detect|build] file.json...")
-		os.Exit(2)
+	os.Exit(run(os.Args[1:], os.Stderr))
+}
+
+// run checks the files named in args and returns the exit status,
+// writing any diagnostic to stderr.
+func run(args []string, stderr io.Writer) int {
+	fs := flag.NewFlagSet("jsoncheck", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
-	for _, path := range flag.Args() {
+	if fs.NArg() < 1 {
+		fmt.Fprintln(stderr, "usage: jsoncheck file.json...")
+		return 2
+	}
+	for _, path := range fs.Args() {
 		data, err := os.ReadFile(path)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "jsoncheck:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "jsoncheck:", err)
+			return 1
 		}
 		dec := json.NewDecoder(bytes.NewReader(data))
 		var v any
 		if err := dec.Decode(&v); err != nil {
-			fmt.Fprintf(os.Stderr, "jsoncheck: %s: %v\n", path, err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "jsoncheck: %s: %v\n", path, err)
+			return 1
 		}
 		if dec.More() {
-			fmt.Fprintf(os.Stderr, "jsoncheck: %s: trailing data after JSON document\n", path)
-			os.Exit(1)
-		}
-		switch *schema {
-		case "":
-		case "serve":
-			if err := checkServe(data); err != nil {
-				fmt.Fprintf(os.Stderr, "jsoncheck: %s: %v\n", path, err)
-				os.Exit(1)
-			}
-		case "detect":
-			if err := checkLadder(data, false); err != nil {
-				fmt.Fprintf(os.Stderr, "jsoncheck: %s: %v\n", path, err)
-				os.Exit(1)
-			}
-		case "build":
-			if err := checkLadder(data, true); err != nil {
-				fmt.Fprintf(os.Stderr, "jsoncheck: %s: %v\n", path, err)
-				os.Exit(1)
-			}
-		default:
-			fmt.Fprintf(os.Stderr, "jsoncheck: unknown schema %q\n", *schema)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "jsoncheck: %s: trailing data after JSON document\n", path)
+			return 1
 		}
 	}
-}
-
-// ladderDoc mirrors the worker-scaling snapshots (BENCH_detect.json and
-// BENCH_build.json). Pointers distinguish "absent" from "zero".
-type ladderDoc struct {
-	Subject    string `json:"subject"`
-	Lines      int    `json:"lines"`
-	Functions  *int   `json:"functions"`
-	GOMAXPROCS *int   `json:"gomaxprocs"`
-	Equivalent *bool  `json:"equivalent"`
-	Rows       []struct {
-		Workers *int     `json:"workers"`
-		WallNs  *int64   `json:"wall_ns"`
-		Speedup *float64 `json:"speedup"`
-	} `json:"rows"`
-}
-
-// checkLadder validates a worker-scaling ladder snapshot. With build=true
-// it applies the extra BENCH_build.json gates: the determinism bit must be
-// present and true, function counts must be positive, and on a multi-core
-// snapshot the full-machine row must show a strict speedup > 1.
-func checkLadder(data []byte, build bool) error {
-	kind := "detect"
-	if build {
-		kind = "build"
-	}
-	var doc ladderDoc
-	if err := json.Unmarshal(data, &doc); err != nil {
-		return fmt.Errorf("%s schema: %w", kind, err)
-	}
-	if doc.Subject == "" || doc.Lines <= 0 {
-		return fmt.Errorf("%s schema: missing subject/lines", kind)
-	}
-	if doc.GOMAXPROCS == nil || *doc.GOMAXPROCS < 1 {
-		return fmt.Errorf("%s schema: missing gomaxprocs", kind)
-	}
-	if build {
-		if doc.Functions == nil || *doc.Functions <= 0 {
-			return fmt.Errorf("build schema: missing function count")
-		}
-		if doc.Equivalent == nil {
-			return fmt.Errorf("build schema: missing equivalent field")
-		}
-		if !*doc.Equivalent {
-			return fmt.Errorf("build schema: equivalent=false — output differed across worker counts")
-		}
-	}
-	if len(doc.Rows) == 0 {
-		return fmt.Errorf("%s schema: no rows", kind)
-	}
-	maxRowSpeedup := 0.0
-	sawMaxProcs := false
-	for i, r := range doc.Rows {
-		if r.Workers == nil || *r.Workers < 1 {
-			return fmt.Errorf("%s schema: row %d missing workers", kind, i)
-		}
-		if r.WallNs == nil || *r.WallNs <= 0 {
-			return fmt.Errorf("%s schema: row %d (workers=%d) missing wall_ns", kind, i, *r.Workers)
-		}
-		if r.Speedup == nil || *r.Speedup <= 0 ||
-			math.IsNaN(*r.Speedup) || math.IsInf(*r.Speedup, 0) {
-			return fmt.Errorf("%s schema: row %d (workers=%d) has bad speedup", kind, i, *r.Workers)
-		}
-		if i == 0 {
-			if *r.Workers != 1 {
-				return fmt.Errorf("%s schema: first row is workers=%d, want the workers=1 baseline", kind, *r.Workers)
-			}
-			if *r.Speedup != 1 {
-				return fmt.Errorf("%s schema: baseline row speedup = %g, want 1", kind, *r.Speedup)
-			}
-		}
-		if *r.Workers == *doc.GOMAXPROCS {
-			sawMaxProcs = true
-			if *r.Speedup > maxRowSpeedup {
-				maxRowSpeedup = *r.Speedup
-			}
-		}
-	}
-	// A snapshot from a multi-core machine must actually exercise the
-	// parallel path: at least two ladder rungs, one at the full machine
-	// width, and — for the build pipeline — a real speedup there.
-	if *doc.GOMAXPROCS > 1 {
-		if len(doc.Rows) < 2 {
-			return fmt.Errorf("%s schema: gomaxprocs=%d but only %d row — ladder must include a parallel rung", kind, *doc.GOMAXPROCS, len(doc.Rows))
-		}
-		if !sawMaxProcs {
-			return fmt.Errorf("%s schema: no row at workers=gomaxprocs=%d", kind, *doc.GOMAXPROCS)
-		}
-		if build && maxRowSpeedup <= 1 {
-			return fmt.Errorf("build schema: speedup %.2fx at workers=%d, want > 1 on a multi-core machine", maxRowSpeedup, *doc.GOMAXPROCS)
-		}
-	}
-	return nil
-}
-
-// serveDoc mirrors the parts of benchsnap's serve snapshot the gate
-// depends on. Pointers distinguish "absent" from "zero".
-type serveDoc struct {
-	Subject   string `json:"subject"`
-	Lines     int    `json:"lines"`
-	Scenarios []struct {
-		Name       string   `json:"name"`
-		Requests   int      `json:"requests"`
-		Errors     int      `json:"errors"`
-		Tenants    *int     `json:"tenants"`
-		Throughput *float64 `json:"throughput"`
-		LatencyNs  struct {
-			Min *int64 `json:"min"`
-			P50 *int64 `json:"p50"`
-			P95 *int64 `json:"p95"`
-			P99 *int64 `json:"p99"`
-			Max *int64 `json:"max"`
-		} `json:"latency_ns"`
-	} `json:"scenarios"`
-}
-
-func checkServe(data []byte) error {
-	var doc serveDoc
-	// A NaN or Infinity token is not valid JSON, so a writer that smuggled
-	// one in fails this decode even though the schema fields are floats.
-	if err := json.Unmarshal(data, &doc); err != nil {
-		return fmt.Errorf("serve schema: %w", err)
-	}
-	if doc.Subject == "" || doc.Lines <= 0 {
-		return fmt.Errorf("serve schema: missing subject/lines")
-	}
-	if len(doc.Scenarios) < 3 {
-		return fmt.Errorf("serve schema: %d scenarios, want at least cold/warm-edit/burst", len(doc.Scenarios))
-	}
-	var serialTP, tenantTP float64
-	for _, sc := range doc.Scenarios {
-		if sc.Name == "" {
-			return fmt.Errorf("serve schema: scenario with no name")
-		}
-		if sc.Requests <= 0 {
-			return fmt.Errorf("serve schema: scenario %q has no requests", sc.Name)
-		}
-		if sc.Tenants == nil || *sc.Tenants < 1 {
-			return fmt.Errorf("serve schema: scenario %q missing tenant count", sc.Name)
-		}
-		if sc.Throughput == nil || *sc.Throughput <= 0 ||
-			math.IsNaN(*sc.Throughput) || math.IsInf(*sc.Throughput, 0) {
-			return fmt.Errorf("serve schema: scenario %q has bad throughput", sc.Name)
-		}
-		switch sc.Name {
-		case "tenants-serial":
-			serialTP = *sc.Throughput
-		case "tenants":
-			if *sc.Tenants < 2 {
-				return fmt.Errorf("serve schema: tenants scenario drove %d tenants, want >= 2", *sc.Tenants)
-			}
-			tenantTP = *sc.Throughput
-		}
-		l := sc.LatencyNs
-		for _, f := range []struct {
-			name string
-			v    *int64
-		}{{"min", l.Min}, {"p50", l.P50}, {"p95", l.P95}, {"p99", l.P99}, {"max", l.Max}} {
-			if f.v == nil || *f.v <= 0 {
-				return fmt.Errorf("serve schema: scenario %q latency_ns.%s missing or zero", sc.Name, f.name)
-			}
-		}
-		if !(*l.Min <= *l.P50 && *l.P50 <= *l.P95 && *l.P95 <= *l.P99 && *l.P99 <= *l.Max) {
-			return fmt.Errorf("serve schema: scenario %q latency percentiles not monotone", sc.Name)
-		}
-	}
-	// The multi-tenant acceptance gate: identical load split across two
-	// projects must beat the same load serialized on one session. A
-	// snapshot where it doesn't means the tenant layer stopped buying
-	// concurrency.
-	if serialTP == 0 || tenantTP == 0 {
-		return fmt.Errorf("serve schema: missing tenants/tenants-serial scenario pair")
-	}
-	if tenantTP <= serialTP {
-		return fmt.Errorf("serve schema: cross-tenant throughput %.2f req/s not above the serialized baseline %.2f req/s", tenantTP, serialTP)
-	}
-	return nil
+	return 0
 }
