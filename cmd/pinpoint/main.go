@@ -64,13 +64,9 @@ func runBatch() {
 	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON of the run (open in chrome://tracing or Perfetto)")
 	statsJSON := flag.String("stats-json", "", "write a machine-readable statistics dump (timings, SMT latency percentiles, cache hit rates, worker utilization)")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060) for the duration of the run")
-	incremental := flag.Bool("incremental", false, "build through a persistent incremental session (content-addressed artifact store) instead of the one-shot pipeline")
-	repeat := flag.Int("repeat", 1, "with -incremental: build rounds; inputs are re-read from disk before each round, so warm rounds rebuild only what changed")
-	smtCache := flag.Bool("smt-cache", true, "answer SMT queries isomorphic to an already-decided formula from the canonical verdict cache")
-	smtPrefilter := flag.Bool("smt-prefilter", true, "refute contradictory SMT queries with a linear-time pass before entering the DPLL(T) solver")
-	smtIncremental := flag.Bool("smt-incremental", false, "reuse one Push/Pop solver with learned-clause retention per (checker, source) task; Sat witnesses may differ from the default mode")
+	repeat := flag.Int("repeat", 1, "build rounds on one session; inputs are re-read from disk before each round, so warm rounds rebuild only what changed")
 	provenance := flag.Bool("provenance", false, "capture per-report provenance (value-flow hops, path-condition size, verdict source); shown in -format json and by 'pinpoint explain'")
-	storeDir := flag.String("store-dir", "", "persist artifacts and SMT verdicts in this directory across runs (works with and without -incremental; empty = memory only)")
+	storeDir := flag.String("store-dir", "", "persist per-function artifacts in this directory across runs (empty = memory only)")
 	storeMaxBytes := flag.Int64("store-max-bytes", 0, "in-memory residency bound for the persistent store's record cache (0 = store default, negative = unbounded)")
 	flag.Parse()
 
@@ -102,8 +98,6 @@ func runBatch() {
 		fatal(err)
 	}
 
-	readUnitsArgs := func() []minic.NamedSource { return readUnits(flag.Args()) }
-
 	// The unified config front door: build, store, and detection options
 	// all derive from one pinpoint.Config, so the CLI cannot hand different
 	// worker pools or recorders to different layers.
@@ -114,9 +108,6 @@ func runBatch() {
 		StoreMaxBytes:          *storeMaxBytes,
 		MaxCallDepth:           *depth,
 		DisablePathSensitivity: *noPS,
-		DisableSMTCache:        !*smtCache,
-		DisableSMTPrefilter:    !*smtPrefilter,
-		SMTIncremental:         *smtIncremental,
 		Witness:                *provenance,
 	})
 	if err != nil {
@@ -125,19 +116,9 @@ func runBatch() {
 	defer rt.Close()
 
 	var a *core.Analysis
-	if *incremental || *storeDir != "" {
-		sess := rt.NewSession()
-		rounds := *repeat
-		if rounds < 1 {
-			rounds = 1
-		}
-		for i := 0; i < rounds; i++ {
-			if a, err = sess.Update(readUnitsArgs()); err != nil {
-				fatal(err)
-			}
-		}
-	} else {
-		if a, err = core.BuildFromSource(readUnitsArgs(), rt.BuildOptions()); err != nil {
+	sess := rt.NewSession()
+	for i := 0; i < max(*repeat, 1); i++ {
+		if a, err = sess.Update(readUnits(flag.Args())); err != nil {
 			fatal(err)
 		}
 	}
@@ -145,10 +126,8 @@ func runBatch() {
 		fmt.Fprintf(os.Stderr, "pinpoint: %d functions, %d IR instructions, %d SEG nodes, %d SEG edges; build %s\n",
 			a.Sizes.Functions, a.Sizes.Lines, a.Sizes.SEGNodes, a.Sizes.SEGEdges, a.Timings.Total())
 		fmt.Fprintf(os.Stderr, "pinpoint: pta: %s\n", a.PTAStats)
-		if *incremental || *storeDir != "" {
-			fmt.Fprintf(os.Stderr, "pinpoint: artifacts: %d hits, %d misses, %d invalidated, %d store-loaded\n",
-				a.Artifacts.Hits, a.Artifacts.Misses, a.Artifacts.Invalidated, a.Artifacts.StoreHits)
-		}
+		fmt.Fprintf(os.Stderr, "pinpoint: artifacts: %d hits, %d misses, %d invalidated, %d store-loaded\n",
+			a.Artifacts.Hits, a.Artifacts.Misses, a.Artifacts.Invalidated, a.Artifacts.StoreHits)
 	}
 	if *dump != "" {
 		kind, fn, ok := strings.Cut(*dump, ":")
@@ -233,8 +212,8 @@ type statsDump struct {
 		TotalNs   int64 `json:"total_ns"`
 	} `json:"build"`
 	// Artifacts is the incremental store outcome of the (last) build
-	// round: all misses for a one-shot build, mostly hits for a warm
-	// -incremental rebuild.
+	// round: all misses for a cold build, mostly hits for a warm
+	// -repeat round or -store-dir restart.
 	Artifacts struct {
 		Hits        int `json:"hits"`
 		Misses      int `json:"misses"`

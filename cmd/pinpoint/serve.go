@@ -21,12 +21,12 @@ func runServe(args []string) {
 	fs := flag.NewFlagSet("pinpoint serve", flag.ExitOnError)
 	addr := fs.String("addr", "127.0.0.1:7345", "listen address")
 	workers := fs.Int("workers", -1, "default build/detection worker-pool size (0/1 = sequential, negative = all CPUs)")
-	maxInflight := fs.Int("max-inflight", -1, "max concurrently admitted /analyze requests (0/1 = one at a time, negative = all CPUs)")
+	maxInflight := fs.Int("max-inflight", -1, "max concurrently admitted /v1/analyze requests (0/1 = one at a time, negative = all CPUs)")
 	reqTimeout := fs.Duration("request-timeout", 2*time.Minute, "per-request deadline covering queueing and analysis (<=0 disables)")
 	grace := fs.Duration("grace", 15*time.Second, "graceful-shutdown drain period for in-flight requests")
 	logJSON := fs.Bool("log-json", false, "emit the structured request log as JSON lines instead of text")
 	logLevel := fs.String("log-level", "info", "minimum log level: debug, info, warn, or error")
-	storeDir := fs.String("store-dir", "", "persist artifacts and SMT verdicts in this directory; a restarted server warm-loads instead of cold building (empty = memory only)")
+	storeDir := fs.String("store-dir", "", "persist per-function artifacts in this directory; a restarted server warm-loads instead of cold building (empty = memory only)")
 	storeMaxBytes := fs.Int64("store-max-bytes", 0, "in-memory residency bound for the persistent store's record cache (0 = store default, negative = unbounded)")
 	maxTenants := fs.Int("max-tenants", 0, "max concurrently resident per-project sessions; beyond this the least-recently-used idle project is evicted, persisting to the store first (0 = 64, negative = unlimited)")
 	tenantIdle := fs.Duration("tenant-idle", 0, "evict a project's session after this much idle time (0 = 15m, negative = never)")
@@ -39,7 +39,7 @@ func runServe(args []string) {
 	sloSlow := fs.Duration("slo-slow", 0, "slow burn-rate window (0 = 1h)")
 	_ = fs.Parse(args)
 	if fs.NArg() != 0 {
-		fmt.Fprintln(os.Stderr, "pinpoint serve: positional arguments are not accepted; programs are POSTed to /analyze")
+		fmt.Fprintln(os.Stderr, "pinpoint serve: positional arguments are not accepted; programs are POSTed to /v1/analyze")
 		os.Exit(2)
 	}
 

@@ -55,9 +55,10 @@ type BuildOptions struct {
 	// recording; the build result is identical either way.
 	Obs *obs.Recorder
 	// Store, when non-nil and persistent, backs the session's per-function
-	// artifacts and the SMT verdict cache: artifacts are warm-loaded on
-	// the first Update after a restart and every commit writes back what
-	// changed. A non-persistent store (MemStore, the default nil) leaves
+	// artifacts: they are warm-loaded on the first Update after a restart
+	// and every commit writes back what changed. SMT verdicts stay in
+	// memory; re-solving them after a restart costs less than reading
+	// them back. A non-persistent store (MemStore, the default nil) leaves
 	// behavior exactly as before — the in-memory maps are already the
 	// cache, so the byte round-trip would be pure overhead.
 	Store store.Store

@@ -110,7 +110,7 @@ type Session struct {
 	order     []string // committed declaration order of the artifact map
 	analysis  *Analysis
 	stats     ArtifactStats // last Update's counters
-	// store is the persistent artifact/verdict backing, nil when the
+	// store is the persistent artifact backing, nil when the
 	// configured Store cannot outlive the process (MemStore or none) —
 	// in that case the encode/decode round-trip could never pay off and
 	// the session behaves exactly like the historical memory-only one.
@@ -713,11 +713,6 @@ func (s *Session) Update(units []minic.NamedSource) (*Analysis, error) {
 		a.Prog = detect.NewProgramFrom(prev, m, a.Infos, a.SEGs)
 	} else {
 		a.Prog = detect.NewProgram(m, a.Infos, a.SEGs)
-	}
-	if s.store != nil {
-		// Back the SMT verdict cache with the same persistent store so a
-		// restarted process replays verdicts it already solved.
-		a.Prog.AttachStore(s.store)
 	}
 
 	if rec != nil {

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"bytes"
+	"encoding/hex"
 	"os"
 	"runtime"
 	"testing"
@@ -23,14 +24,43 @@ func openDisk(t *testing.T, dir string, maxResident int64) *store.DiskStore {
 	return st
 }
 
+// putRetiredVerdicts writes records in the layout earlier versions used to
+// persist SMT verdicts: "verdict" records (a result byte plus 5-byte
+// canonical-model pairs) and "vshape" Unsat markers, keyed by hex formula
+// digests. Stores written by those versions still carry them.
+func putRetiredVerdicts(t *testing.T, st store.Store) {
+	t.Helper()
+	for i := 0; i < 16; i++ {
+		key := hex.EncodeToString(bytes.Repeat([]byte{byte(i)}, 32))
+		if err := st.Put("verdict", key, []byte{1, byte(i), 0, 0, 0, 1}); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Put("vshape", key, []byte{1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestSessionStoreWarmRestartEquivalence is the persistent-store contract:
 // a fresh session pointed at a populated store directory — a restarted
 // server — must produce reports byte-identical to a cold build AND to an
-// in-process warm session, while rebuilding zero unchanged artifacts.
+// in-process warm session, while rebuilding zero unchanged artifacts. The
+// retiredVerdicts case restarts on a store that also holds the SMT-verdict
+// records earlier versions persisted: they are dead weight, never a miss
+// or a changed report.
 func TestSessionStoreWarmRestartEquivalence(t *testing.T) {
 	gen := workload.Generate(workload.Subjects[2], workload.GenOptions{Scale: 140, Taint: true})
 
-	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
+	cases := []struct {
+		workers         int
+		retiredVerdicts bool
+	}{
+		{1, false},
+		{runtime.GOMAXPROCS(0), false},
+		{1, true},
+	}
+	for _, tc := range cases {
+		workers := tc.workers
 		dir := t.TempDir()
 		specs := checkers.All()
 		dopts := detect.Options{Workers: workers}
@@ -54,6 +84,9 @@ func TestSessionStoreWarmRestartEquivalence(t *testing.T) {
 			t.Fatalf("first build had %d store hits; want 0", hits)
 		}
 		warmRes := normalizeResults(a1.CheckAll(specs, dopts))
+		if tc.retiredVerdicts {
+			putRetiredVerdicts(t, st1)
+		}
 		if err := st1.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -141,86 +174,6 @@ func TestSessionStoreWarmRestartAfterEdit(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkEquivalent(t, "edited-restart", a2, coldA, 1)
-}
-
-// TestSessionStoreVerdictPersistence checks the second half of the store
-// contract: SMT verdicts written through during one process's CheckAll are
-// replayed from disk by a restarted process, so the restart solves (almost)
-// nothing while reporting byte-identical results. "Almost": Unknown
-// verdicts are deliberately never persisted, so at most those re-solve.
-func TestSessionStoreVerdictPersistence(t *testing.T) {
-	gen := workload.Generate(workload.Subjects[2], workload.GenOptions{Scale: 140, Taint: true})
-	specs := checkers.All()
-	dopts := detect.Options{Workers: 1}
-	dir := t.TempDir()
-
-	sum := func(rs detect.Results) (solved, cached, unknown, queries int) {
-		for _, cs := range rs.Checkers {
-			solved += cs.Stats.SMTSolved
-			cached += cs.Stats.SMTCacheHits
-			unknown += cs.Stats.SMTUnknown
-			queries += cs.Stats.SMTQueries
-		}
-		return
-	}
-
-	// Cold baseline, no store anywhere.
-	cold := core.NewSession(core.BuildOptions{})
-	coldA, err := cold.Update(gen.Units)
-	if err != nil {
-		t.Fatal(err)
-	}
-	coldRes := coldA.CheckAll(specs, dopts)
-	// Read the counters before normalizeResults folds the cache-hit split.
-	coldSolved, coldCached, coldUnknown, coldQueries := sum(coldRes)
-	coldB := reportsJSON(t, normalizeResults(coldRes).Reports)
-	if coldSolved == 0 {
-		t.Fatal("baseline solved nothing; workload cannot exercise the verdict store")
-	}
-
-	// First process: detection writes verdicts through to the store.
-	st1 := openDisk(t, dir, 0)
-	s1 := core.NewSession(core.BuildOptions{Store: st1})
-	a1, err := s1.Update(gen.Units)
-	if err != nil {
-		t.Fatal(err)
-	}
-	artRecords := st1.Stat().Records
-	a1.CheckAll(specs, dopts)
-	if got := st1.Stat().Records; got <= artRecords {
-		t.Fatalf("CheckAll persisted no verdicts: %d records before, %d after", artRecords, got)
-	}
-	if err := st1.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Second process: same directory, empty memory.
-	st2 := openDisk(t, dir, 0)
-	s2 := core.NewSession(core.BuildOptions{Store: st2})
-	a2, err := s2.Update(gen.Units)
-	if err != nil {
-		t.Fatal(err)
-	}
-	restartRes := a2.CheckAll(specs, dopts)
-	if err := st2.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	solved, cached, _, queries := sum(restartRes)
-	if got := reportsJSON(t, normalizeResults(restartRes).Reports); !bytes.Equal(got, coldB) {
-		t.Fatalf("verdict-store restart changed reports\ngot: %s\nwant: %s", got, coldB)
-	}
-	if queries != coldQueries {
-		t.Fatalf("restart issued %d SMT queries; cold issued %d", queries, coldQueries)
-	}
-	if solved > coldUnknown {
-		t.Fatalf("restart solved %d queries (want <= %d unpersisted Unknowns); cache replay failed", solved, coldUnknown)
-	}
-	if solved+cached != coldSolved+coldCached {
-		// The prefilter split is deterministic, so the solve-or-cache total
-		// must match; only the split inside it moves toward the cache.
-		t.Fatalf("restart solved+cached = %d; cold = %d", solved+cached, coldSolved+coldCached)
-	}
 }
 
 // TestSessionStoreCorruption covers the crash-safety contract end to end:

@@ -29,12 +29,6 @@ func (e *Engine) checkCandidate(c *candidate) smt.Result {
 	start := time.Now()
 
 	s := e.querySolver()
-	if e.opts.SMTIncremental {
-		// Long-lived solver: scope this candidate's assertions so Pop
-		// retracts them while scope-independent learned clauses persist.
-		s.Push()
-		defer s.Pop()
-	}
 	if e.obs != nil {
 		s.Observer = smtObserver(e.obs)
 	}
@@ -139,7 +133,7 @@ func (e *Engine) checkCandidate(c *candidate) smt.Result {
 	switch {
 	case how == querySolved:
 		e.stats.SMTSolved++
-	case how.isCacheHit():
+	case how == queryCacheExact:
 		e.stats.SMTCacheHits++
 	case how == queryPrefilterUnsat:
 		e.stats.SMTPrefilterUnsat++
@@ -154,7 +148,7 @@ func (e *Engine) checkCandidate(c *candidate) smt.Result {
 			if e.obs.Tracing() {
 				e.obs.Event(e.tid, "smt", start, d, obs.Arg{Key: "checker", Val: e.spec.Name})
 			}
-		case how.isCacheHit():
+		case how == queryCacheExact:
 			e.obs.Counter("smt.cache_hits").Inc()
 		case how == queryPrefilterUnsat:
 			e.obs.Counter("smt.prefilter_unsat").Inc()

@@ -281,7 +281,7 @@ func (lc *leakChecker) checkAlloc(f *ir.Func, g *seg.Graph, alloc *ir.Instr, sta
 	switch {
 	case how == querySolved:
 		stats.Solved++
-	case how.isCacheHit():
+	case how == queryCacheExact:
 		stats.CacheHits++
 	case how == queryPrefilterUnsat:
 		stats.PrefilterUnsat++
@@ -294,7 +294,7 @@ func (lc *leakChecker) checkAlloc(f *ir.Func, g *seg.Graph, alloc *ir.Instr, sta
 			if rec.Tracing() {
 				rec.Event(tid, "smt", start, d, obs.Arg{Key: "checker", Val: "memory-leak"})
 			}
-		case how.isCacheHit():
+		case how == queryCacheExact:
 			rec.Counter("smt.cache_hits").Inc()
 		case how == queryPrefilterUnsat:
 			rec.Counter("smt.prefilter_unsat").Inc()

@@ -14,11 +14,24 @@ import (
 // buildWorkloadSubject synthesizes a mid-size subject with UAF, taint, and
 // leak flows and builds the full analysis for it.
 func buildWorkloadSubject(t testing.TB) *core.Analysis {
-	t.Helper()
-	subj := workload.Subject{
+	return buildSubject(t, workload.Subject{
 		Name: "sched-test", Origin: "synthetic", PaperKLoC: 60,
 		TrueBugs: 6, OpaqueTraps: 4,
-	}
+	})
+}
+
+// buildBugDenseSubject builds a small subject dense with true bugs and
+// opaque traps: detection, not the build, dominates, and most SMT queries
+// repeat a formula already decided in another context.
+func buildBugDenseSubject(t testing.TB) *core.Analysis {
+	return buildSubject(t, workload.Subject{
+		Name: "bug-dense-test", Origin: "synthetic", PaperKLoC: 40,
+		TrueBugs: 60, OpaqueTraps: 60,
+	})
+}
+
+func buildSubject(t testing.TB, subj workload.Subject) *core.Analysis {
+	t.Helper()
 	gen := workload.Generate(subj, workload.GenOptions{Taint: true})
 	a, err := core.BuildFromSource(gen.Units, core.BuildOptions{Workers: -1})
 	if err != nil {

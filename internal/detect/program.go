@@ -88,18 +88,6 @@ func NewProgram(m *ir.Module, infos map[*ir.Func]*ssa.Info, segs map[*ir.Func]*s
 	return p
 }
 
-// SMTCacheStats reports the verdict cache's per-tier occupancy: exact
-// alpha-normalized entries and commutative shape-tier entries. Read-only
-// and safe to call concurrently with detection (shards lock per read); the
-// numbers are a diagnostic snapshot, not part of the deterministic result
-// surface.
-func (p *Program) SMTCacheStats() (exact, shape int) {
-	if p.smtCache == nil {
-		return 0, 0
-	}
-	return p.smtCache.sizes()
-}
-
 // EnableCachePersistence makes detection caches survive across CheckAll
 // calls on this Program. Cache contents are memoized pure functions of the
 // frozen per-function SEGs, so persistence changes wall-clock and the
@@ -181,13 +169,6 @@ type Options struct {
 	// refutation pass that answers Unsat without entering the DPLL(T)
 	// loop. Reports are identical either way.
 	DisableSMTPrefilter bool
-	// SMTIncremental solves the candidates of one (checker, source) task
-	// against a single long-lived solver using assumption-scoped
-	// Push/Pop with learned-clause retention, instead of resetting the
-	// solver per candidate. Retained clauses can steer the SAT search, so
-	// Sat witnesses may differ (reports may not be byte-identical to the
-	// default mode); off by default.
-	SMTIncremental bool
 	// Workers sets the detection worker-pool size used by CheckAll: 0 or
 	// 1 runs sequentially, negative selects GOMAXPROCS. The reported
 	// results are identical at every setting; only wall-clock changes.

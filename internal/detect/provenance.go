@@ -27,15 +27,11 @@ const (
 	// VerdictSolved: the query entered the DPLL(T) loop.
 	VerdictSolved
 	// VerdictCacheExact: the verdict (and model) was replayed from the
-	// exact tier of the canonical verdict cache.
+	// canonical verdict cache.
 	VerdictCacheExact
-	// VerdictCacheShape: the Unsat verdict came from the
-	// commutative-normalized shape tier. Never appears on a report —
-	// shape hits are always Unsat — but shows up in explain-mode dumps of
-	// refuted candidates.
-	VerdictCacheShape
 	// VerdictPrefilter: the linear-time semi-decision prefilter refuted
-	// the query. Like VerdictCacheShape, Unsat-only.
+	// the query. Unsat-only: it shows up in explain-mode dumps of refuted
+	// candidates, never on a report.
 	VerdictPrefilter
 )
 
@@ -44,7 +40,6 @@ var verdictSourceNames = [...]string{
 	VerdictStructural: "structural",
 	VerdictSolved:     "solved",
 	VerdictCacheExact: "cache_exact",
-	VerdictCacheShape: "cache_shape",
 	VerdictPrefilter:  "prefilter",
 }
 
@@ -124,8 +119,6 @@ func verdictSourceOf(how queryOutcome) VerdictSource {
 	switch how {
 	case queryCacheExact:
 		return VerdictCacheExact
-	case queryCacheShape:
-		return VerdictCacheShape
 	case queryPrefilterUnsat:
 		return VerdictPrefilter
 	default:
@@ -139,8 +132,8 @@ type JSONProvenance struct {
 	Hops      []JSONHop `json:"hops,omitempty"`
 	CondTerms int       `json:"condTerms"`
 	// VerdictSource is "unchecked", "structural", "solved", "cache_exact",
-	// "cache_shape", or "prefilter". The solved/cache_exact split is
-	// schedule-dependent (see Provenance.VerdictSource).
+	// or "prefilter". The solved/cache_exact split is schedule-dependent
+	// (see Provenance.VerdictSource).
 	VerdictSource string `json:"verdictSource"`
 }
 

@@ -36,10 +36,8 @@ type Engine struct {
 
 	// solver is the engine's pooled SMT solver, acquired lazily by the
 	// first candidate check and released by releaseSolver when the engine
-	// finishes. In the default mode it is Reset between candidates (a
-	// reset solver is indistinguishable from a fresh one); with
-	// Options.SMTIncremental it lives across the engine's candidates,
-	// retaining learned clauses under Push/Pop.
+	// finishes. It is Reset between candidates (a reset solver is
+	// indistinguishable from a fresh one).
 	solver *smt.Solver
 
 	// per-source scratch
@@ -62,13 +60,11 @@ func NewEngine(prog *Program, spec *checkers.Spec, opts Options) *Engine {
 }
 
 // querySolver returns the engine's solver ready for a candidate query:
-// freshly acquired from the pool, or reset to the fresh state (unless the
-// engine runs incrementally, in which case accumulated clauses persist and
-// the caller scopes its assertions with Push/Pop).
+// freshly acquired from the pool, or reset to the fresh state.
 func (e *Engine) querySolver() *smt.Solver {
 	if e.solver == nil {
 		e.solver = smt.GetSolver()
-	} else if !e.opts.SMTIncremental {
+	} else {
 		e.solver.Reset()
 	}
 	return e.solver

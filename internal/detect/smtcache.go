@@ -21,7 +21,6 @@ package detect
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/smt"
 )
@@ -33,57 +32,37 @@ const (
 	// querySolved: the query entered the DPLL(T) loop.
 	querySolved queryOutcome = iota
 	// queryCacheExact: the verdict (and model, if Sat) was replayed from
-	// the exact (alpha-normalized, order-preserving) cache tier.
+	// the canonical (alpha-normalized, order-preserving) verdict cache.
 	queryCacheExact
-	// queryCacheShape: the Unsat verdict came from the
-	// commutative-normalized shape tier.
-	queryCacheShape
 	// queryPrefilterUnsat: the semi-decision prefilter refuted the query.
 	queryPrefilterUnsat
 )
 
-// isCacheHit groups the two cache tiers for the stats split, which counts
-// them together as SMTCacheHits.
-func (o queryOutcome) isCacheHit() bool {
-	return o == queryCacheExact || o == queryCacheShape
-}
-
 const smtCacheShards = 32
 
-// smtVerdict is one cached exact-key entry: the verdict plus, for Sat, the
-// model over canonical variable ids (projected back through each hitting
-// query's own variable names).
+// smtVerdict is one cached entry: the verdict plus, for Sat, the model
+// over canonical variable ids (projected back through each hitting query's
+// own variable names).
 type smtVerdict struct {
 	res   smt.Result
 	model map[int]bool
 }
 
 type smtCacheShard struct {
-	mu sync.RWMutex
-	// exact: alpha-normalized order-preserving key -> full verdict.
+	mu    sync.RWMutex
 	exact map[[32]byte]*smtVerdict
-	// shape: commutative-normalized key -> present iff proven Unsat.
-	// Sat models and budget-limited Unknowns are never served from the
-	// shape tier (solver runs for shape-variants are not isomorphic).
-	shape map[[32]byte]struct{}
 }
 
 // smtVerdictCache is the sharded, concurrency-safe canonical verdict
 // cache.
 type smtVerdictCache struct {
 	shards [smtCacheShards]smtCacheShard
-	// backing, when set, is a persistent store consulted after both memory
-	// tiers miss and written through on fresh solves, so verdicts survive
-	// process restarts (see verdictstore.go). Attached via
-	// Program.AttachStore.
-	backing atomic.Pointer[verdictBacking]
 }
 
 func newSMTVerdictCache() *smtVerdictCache {
 	c := &smtVerdictCache{}
 	for i := range c.shards {
 		c.shards[i].exact = make(map[[32]byte]*smtVerdict)
-		c.shards[i].shape = make(map[[32]byte]struct{})
 	}
 	return c
 }
@@ -92,80 +71,34 @@ func (c *smtVerdictCache) shard(key [32]byte) *smtCacheShard {
 	return &c.shards[int(key[0])%smtCacheShards]
 }
 
-// lookup consults the exact tier, then the Unsat-only shape tier. On an
-// exact Sat hit the cached canonical model is projected into this query's
-// variable names. The returned outcome distinguishes the tier that hit
-// (queryCacheExact / queryCacheShape); it is querySolved when the cache
-// missed.
-func (c *smtVerdictCache) lookup(fp *smt.Canon) (smt.Result, map[string]bool, queryOutcome, bool) {
+// lookup returns the cached verdict for fp, projecting a Sat hit's
+// canonical model into this query's variable names.
+func (c *smtVerdictCache) lookup(fp *smt.Canon) (smt.Result, map[string]bool, bool) {
 	sh := c.shard(fp.Exact)
 	sh.mu.RLock()
 	v, ok := sh.exact[fp.Exact]
 	sh.mu.RUnlock()
-	if ok {
-		return v.res, fp.ProjectModel(v.model), queryCacheExact, true
+	if !ok {
+		return smt.Unknown, nil, false
 	}
-	sh = c.shard(fp.Shape)
-	sh.mu.RLock()
-	_, ok = sh.shape[fp.Shape]
-	sh.mu.RUnlock()
-	if ok {
-		return smt.Unsat, nil, queryCacheShape, true
-	}
-	return c.backingLookup(fp)
+	return v.res, fp.ProjectModel(v.model), true
 }
 
-// store records a solved verdict. Exact entries are stored for every
-// verdict; the shape tier only ever records Unsat (the only verdict whose
-// replay is sound across commutative reordering). When the solve ran on a
-// long-lived incremental solver (learned-clause retention), only Unsat is
-// stored at all: retained state may change Sat models and the Unknown
-// budget boundary, and serving those to a non-incremental run would break
-// its byte-identical-replay guarantee.
-func (c *smtVerdictCache) store(fp *smt.Canon, res smt.Result, model map[int]bool, incremental bool) {
-	if incremental && res != smt.Unsat {
-		return
-	}
+// store records a solved verdict; the first writer of a key wins.
+func (c *smtVerdictCache) store(fp *smt.Canon, res smt.Result, model map[int]bool) {
 	sh := c.shard(fp.Exact)
 	sh.mu.Lock()
-	_, dup := sh.exact[fp.Exact]
-	if !dup {
+	if _, dup := sh.exact[fp.Exact]; !dup {
 		sh.exact[fp.Exact] = &smtVerdict{res: res, model: model}
 	}
 	sh.mu.Unlock()
-	if res == smt.Unsat {
-		sh = c.shard(fp.Shape)
-		sh.mu.Lock()
-		sh.shape[fp.Shape] = struct{}{}
-		sh.mu.Unlock()
-	}
-	if !dup {
-		c.backingStore(fp, res, model)
-	}
-}
-
-// size returns the number of exact entries (for diagnostics).
-func (c *smtVerdictCache) size() int {
-	exact, _ := c.sizes()
-	return exact
-}
-
-// sizes returns the exact- and shape-tier entry counts (for diagnostics).
-func (c *smtVerdictCache) sizes() (exact, shape int) {
-	for i := range c.shards {
-		c.shards[i].mu.RLock()
-		exact += len(c.shards[i].exact)
-		shape += len(c.shards[i].shape)
-		c.shards[i].mu.RUnlock()
-	}
-	return exact, shape
 }
 
 // decideQuery runs the elimination pipeline over an asserted term
 // sequence, falling back to asserting into s and solving. It returns the
 // verdict, a boolean model for Sat (nil otherwise), and the stage that
-// produced the verdict. s must be in its post-Reset (or post-Push) state,
-// with every term built from s.TB.
+// produced the verdict. s must be in its post-Reset state, with every term
+// built from s.TB.
 func decideQuery(s *smt.Solver, terms []*smt.Term, cache *smtVerdictCache, opts Options) (smt.Result, map[string]bool, queryOutcome) {
 	if !opts.DisableSMTPrefilter {
 		if smt.Prefilter(terms) == smt.Unsat {
@@ -176,8 +109,8 @@ func decideQuery(s *smt.Solver, terms []*smt.Term, cache *smtVerdictCache, opts 
 	useCache := cache != nil && !opts.DisableSMTCache
 	if useCache {
 		fp = smt.Fingerprint(terms)
-		if res, model, tier, ok := cache.lookup(fp); ok {
-			return res, model, tier
+		if res, model, ok := cache.lookup(fp); ok {
+			return res, model, queryCacheExact
 		}
 	}
 	for _, t := range terms {
@@ -189,7 +122,7 @@ func decideQuery(s *smt.Solver, terms []*smt.Term, cache *smtVerdictCache, opts 
 		model = s.BoolModel()
 	}
 	if useCache {
-		cache.store(fp, res, fp.CanonModel(model), opts.SMTIncremental)
+		cache.store(fp, res, fp.CanonModel(model))
 	}
 	return res, model, querySolved
 }

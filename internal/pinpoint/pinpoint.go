@@ -26,7 +26,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/detect"
 	"repro/internal/obs"
-	"repro/internal/pta"
 	"repro/internal/server"
 	"repro/internal/store"
 )
@@ -41,19 +40,14 @@ type Config struct {
 	// default.
 	Workers int
 	// Obs, when non-nil, receives metrics and (when tracing) spans from
-	// every layer; it also backs the server's /metrics endpoint and the
+	// every layer; it also backs the server's /v1/metrics endpoint and the
 	// disk store's counters.
 	Obs *obs.Recorder
 
-	// PTA tunes the local points-to analysis (ablations).
-	PTA pta.Options
-	// DisableConnectors skips the connector transformation (ablation).
-	DisableConnectors bool
-
-	// StoreDir, when non-empty, persists per-function artifacts and SMT
-	// verdicts in a DiskStore under this directory: a restarted process
-	// pointed at the same directory warm-loads instead of rebuilding.
-	// Empty keeps the historical in-memory-only behavior.
+	// StoreDir, when non-empty, persists per-function artifacts in a
+	// DiskStore under this directory: a restarted process pointed at the
+	// same directory warm-loads instead of rebuilding. SMT verdicts are
+	// not persisted. Empty keeps the historical in-memory-only behavior.
 	StoreDir string
 	// StoreMaxBytes bounds the DiskStore's in-memory residency layer
 	// (decoded-record cache). 0 selects the store default; negative
@@ -67,14 +61,6 @@ type Config struct {
 	MaxCallDepth int
 	// DisablePathSensitivity reports every candidate unchecked (ablation).
 	DisablePathSensitivity bool
-	// DisableLinearFilter sends every candidate to the solver (ablation).
-	DisableLinearFilter bool
-	// DisableSMTCache turns off the canonical verdict cache.
-	DisableSMTCache bool
-	// DisableSMTPrefilter turns off the linear-time refutation pass.
-	DisableSMTPrefilter bool
-	// SMTIncremental reuses one Push/Pop solver per detection task.
-	SMTIncremental bool
 	// Witness enables per-report provenance capture.
 	Witness bool
 
@@ -160,11 +146,9 @@ func (rt *Runtime) Store() store.Store { return rt.st }
 // BuildOptions derives the build-pipeline options.
 func (rt *Runtime) BuildOptions() core.BuildOptions {
 	return core.BuildOptions{
-		PTA:               rt.cfg.PTA,
-		DisableConnectors: rt.cfg.DisableConnectors,
-		Workers:           rt.cfg.Workers,
-		Obs:               rt.cfg.Obs,
-		Store:             rt.st,
+		Workers: rt.cfg.Workers,
+		Obs:     rt.cfg.Obs,
+		Store:   rt.st,
 	}
 }
 
@@ -173,10 +157,6 @@ func (rt *Runtime) DetectOptions() detect.Options {
 	return detect.Options{
 		MaxCallDepth:           rt.cfg.MaxCallDepth,
 		DisablePathSensitivity: rt.cfg.DisablePathSensitivity,
-		DisableLinearFilter:    rt.cfg.DisableLinearFilter,
-		DisableSMTCache:        rt.cfg.DisableSMTCache,
-		DisableSMTPrefilter:    rt.cfg.DisableSMTPrefilter,
-		SMTIncremental:         rt.cfg.SMTIncremental,
 		Workers:                rt.cfg.Workers,
 		Witness:                rt.cfg.Witness,
 		Obs:                    rt.cfg.Obs,

@@ -8,17 +8,17 @@ import (
 	"repro/internal/tenant"
 )
 
-// handleHealthz is the liveness probe: the process is up and the mux is
+// handleHealth is the liveness probe: the process is up and the mux is
 // answering. Always 200 while the listener is alive.
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write([]byte("ok\n"))
 }
 
-// handleReadyz is the readiness probe: 200 while the server accepts work,
+// handleReady is the readiness probe: 200 while the server accepts work,
 // 503 once graceful shutdown has begun (load balancers drain on this).
-func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	if !s.ready.Load() {
 		w.WriteHeader(http.StatusServiceUnavailable)
@@ -42,53 +42,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 // tenantsDebug is the GET /v1/debug/tenants schema: the tenant.Snapshot
 // (resident set, per-tenant occupancy and last-use clocks, eviction
-// counters) — the multi-tenant successor to /debug/session.
+// counters).
 type tenantsDebug = tenant.Snapshot
 
 func (s *Server) handleDebugTenants(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, tenantsDebug(s.tenants.Snapshot()))
-}
-
-// sessionDebug is the GET /debug/session schema: occupancy of the default
-// tenant's session. Pre-tenant clients keep their exact schema; resident
-// state for every project lives at /v1/debug/tenants.
-type sessionDebug struct {
-	// Units and Artifacts are the parse- and function-artifact store
-	// sizes; LastUpdate is the artifact outcome of the latest /analyze.
-	Units      int `json:"units"`
-	Artifacts  int `json:"artifacts"`
-	LastUpdate struct {
-		Hits        int `json:"hits"`
-		Misses      int `json:"misses"`
-		Invalidated int `json:"invalidated"`
-	} `json:"lastUpdate"`
-	// Functions is the current program's function count (0 before the
-	// first analysis).
-	Functions int `json:"functions"`
-	// SMTCacheExact/SMTCacheShape are the verdict cache's per-tier entry
-	// counts.
-	SMTCacheExact int `json:"smtCacheExact"`
-	SMTCacheShape int `json:"smtCacheShape"`
-}
-
-func (s *Server) handleDebugSession(w http.ResponseWriter, r *http.Request) {
-	var d sessionDebug
-	// The default tenant may have been idle-evicted; an all-zero body is
-	// the honest report then (nothing is resident).
-	s.tenants.View(store.DefaultProject, func(sess *core.Session) {
-		d.Units = sess.UnitCount()
-		d.Artifacts = sess.ArtifactCount()
-		st := sess.ArtifactStats()
-		d.LastUpdate.Hits, d.LastUpdate.Misses, d.LastUpdate.Invalidated =
-			st.Hits, st.Misses, st.Invalidated
-		if a := sess.Analysis(); a != nil {
-			d.Functions = a.Sizes.Functions
-			if a.Prog != nil {
-				d.SMTCacheExact, d.SMTCacheShape = a.Prog.SMTCacheStats()
-			}
-		}
-	})
-	writeJSON(w, http.StatusOK, d)
 }
 
 // storeDebug is the GET /v1/debug/store schema: whether a persistent
@@ -116,7 +74,7 @@ func (s *Server) handleDebugStore(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, d)
 }
 
-// inflightDebug is the GET /debug/inflight schema.
+// inflightDebug is the GET /v1/debug/inflight schema.
 type inflightDebug struct {
 	Limit    int            `json:"limit"`
 	InFlight int            `json:"inFlight"`

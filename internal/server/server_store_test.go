@@ -10,52 +10,60 @@ import (
 	"repro/internal/store"
 )
 
-// TestV1Aliases checks the versioned surface: every /v1/ path answers, and
-// the legacy unversioned spelling stays wired to the same handler.
+// TestV1Aliases pins the route table: every route answers under /v1/, and
+// every retired spelling (the unversioned aliases, /v1/healthz, /v1/readyz
+// and the pre-tenant /debug/session) is gone.
 func TestV1Aliases(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
+	units := unitsToJSON(exampleUnits(t))
+	body, err := json.Marshal(AnalyzeRequest{Units: units})
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	for _, path := range []string{
-		"/healthz", "/v1/healthz", "/v1/health",
-		"/readyz", "/v1/readyz", "/v1/ready",
-		"/metrics", "/v1/metrics",
-		"/debug/session", "/v1/debug/session",
-		"/debug/inflight", "/v1/debug/inflight",
-		"/debug/store", "/v1/debug/store",
+	for _, tc := range []struct {
+		method, path string
+		want         int
+	}{
+		{"POST", "/v1/analyze", http.StatusOK},
+		{"GET", "/v1/health", http.StatusOK},
+		{"GET", "/v1/ready", http.StatusOK},
+		{"GET", "/v1/metrics", http.StatusOK},
+		{"GET", "/v1/debug/tenants", http.StatusOK},
+		{"GET", "/v1/debug/inflight", http.StatusOK},
+		{"GET", "/v1/debug/store", http.StatusOK},
+		{"GET", "/v1/debug/timeseries", http.StatusOK},
+		{"GET", "/v1/debug/costs", http.StatusOK},
+		{"GET", "/v1/debug/slo", http.StatusOK},
+
+		{"POST", "/analyze", http.StatusNotFound},
+		{"GET", "/healthz", http.StatusNotFound},
+		{"GET", "/readyz", http.StatusNotFound},
+		{"GET", "/metrics", http.StatusNotFound},
+		{"GET", "/v1/healthz", http.StatusNotFound},
+		{"GET", "/v1/readyz", http.StatusNotFound},
+		{"GET", "/debug/session", http.StatusNotFound},
+		{"GET", "/v1/debug/session", http.StatusNotFound},
+		{"GET", "/debug/tenants", http.StatusNotFound},
+		{"GET", "/debug/inflight", http.StatusNotFound},
+		{"GET", "/debug/store", http.StatusNotFound},
+		{"GET", "/debug/timeseries", http.StatusNotFound},
+		{"GET", "/debug/costs", http.StatusNotFound},
+		{"GET", "/debug/slo", http.StatusNotFound},
 	} {
-		resp, err := http.Get(ts.URL + path)
+		req, err := http.NewRequest(tc.method, ts.URL+tc.path, bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			t.Fatal(err)
 		}
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Errorf("GET %s: %s", path, resp.Status)
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s %s: %s, want %d", tc.method, tc.path, resp.Status, tc.want)
 		}
-	}
-
-	units := unitsToJSON(exampleUnits(t))
-	legacy, _ := postAnalyze(t, ts.URL, AnalyzeRequest{Units: units})
-	body, err := json.Marshal(AnalyzeRequest{Units: units})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(ts.URL+"/v1/analyze", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("POST /v1/analyze: %s", resp.Status)
-	}
-	var versioned AnalyzeResponse
-	if err := json.NewDecoder(resp.Body).Decode(&versioned); err != nil {
-		t.Fatal(err)
-	}
-	lb, _ := json.Marshal(legacy.Reports)
-	vb, _ := json.Marshal(versioned.Reports)
-	if string(lb) != string(vb) {
-		t.Fatalf("/v1/analyze reports differ from /analyze:\n%s\n%s", vb, lb)
 	}
 }
 

@@ -22,6 +22,7 @@ import (
 	"repro/internal/detect"
 	"repro/internal/minic"
 	"repro/internal/obs"
+	"repro/internal/tenant"
 )
 
 // exampleUnits loads the repository's example programs — the same corpus
@@ -66,14 +67,14 @@ func postAnalyze(t *testing.T, url string, req AnalyzeRequest) (*AnalyzeResponse
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(url+"/analyze", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(url+"/v1/analyze", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		b, _ := io.ReadAll(resp.Body)
-		t.Fatalf("POST /analyze: %s: %s", resp.Status, b)
+		t.Fatalf("POST /v1/analyze: %s: %s", resp.Status, b)
 	}
 	var ar AnalyzeResponse
 	if err := json.NewDecoder(resp.Body).Decode(&ar); err != nil {
@@ -179,10 +180,10 @@ func TestMetricsScrapeDuringAnalyze(t *testing.T) {
 		}
 	}
 	wg.Add(4)
-	go scrape("/metrics", "text/plain")
-	go scrape("/debug/session", "application/json")
-	go scrape("/debug/inflight", "application/json")
-	go scrape("/healthz", "text/plain")
+	go scrape("/v1/metrics", "text/plain")
+	go scrape("/v1/debug/tenants", "application/json")
+	go scrape("/v1/debug/inflight", "application/json")
+	go scrape("/v1/health", "text/plain")
 
 	req := AnalyzeRequest{Units: unitsToJSON(units)}
 	var aw sync.WaitGroup
@@ -201,7 +202,7 @@ func TestMetricsScrapeDuringAnalyze(t *testing.T) {
 
 	// After the analyses, the exposition must carry non-zero pipeline
 	// counters in parseable Prometheus text format.
-	resp, err := http.Get(ts.URL + "/metrics")
+	resp, err := http.Get(ts.URL + "/v1/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,33 +228,33 @@ func TestMetricsScrapeDuringAnalyze(t *testing.T) {
 	}
 }
 
-// TestDebugSessionOccupancy pins the /debug/session schema against the
-// session's real stores.
+// TestDebugSessionOccupancy pins the default tenant's session occupancy,
+// as GET /v1/debug/tenants reports it, against the session's real stores,
+// and checks that a repeated request is answered from the session's SMT
+// verdict cache without entering the solver.
 func TestDebugSessionOccupancy(t *testing.T) {
 	units := exampleUnits(t)
 	_, ts := newTestServer(t, Config{})
-	postAnalyze(t, ts.URL, AnalyzeRequest{Units: unitsToJSON(units)})
+	req := AnalyzeRequest{Units: unitsToJSON(units)}
+	first, _ := postAnalyze(t, ts.URL, req)
+	if first.Stats.ArtifactMisses == 0 {
+		t.Errorf("cold analyze reported no artifact misses: %+v", first.Stats)
+	}
 
-	resp, err := http.Get(ts.URL + "/debug/session")
-	if err != nil {
-		t.Fatal(err)
+	var snap tenant.Snapshot
+	getJSON(t, ts.URL+"/v1/debug/tenants", &snap)
+	if len(snap.Tenants) != 1 {
+		t.Fatalf("resident tenants = %+v, want the default one", snap.Tenants)
 	}
-	defer resp.Body.Close()
-	var d sessionDebug
-	if err := json.NewDecoder(resp.Body).Decode(&d); err != nil {
-		t.Fatal(err)
+	if d := snap.Tenants[0]; d.Units != len(units) || d.Artifacts == 0 || d.Functions == 0 {
+		t.Errorf("default tenant occupancy %+v, want %d units and nonzero artifacts/functions", d, len(units))
 	}
-	if d.Units != len(units) {
-		t.Errorf("units = %d, want %d", d.Units, len(units))
-	}
-	if d.Artifacts == 0 || d.Functions == 0 {
-		t.Errorf("empty occupancy after analyze: %+v", d)
-	}
-	if d.LastUpdate.Misses == 0 {
-		t.Errorf("cold analyze reported no artifact misses: %+v", d)
-	}
-	if d.SMTCacheExact == 0 {
-		t.Errorf("verdict cache empty after analyze: %+v", d)
+
+	second, _ := postAnalyze(t, ts.URL, req)
+	st := second.Stats
+	if st.SMTQueries == 0 || st.SMTSolved != 0 || st.SMTCacheHits == 0 {
+		t.Errorf("repeated analyze: %d queries, %d solved, %d cache hits; want queries > 0, 0 solved, hits > 0",
+			st.SMTQueries, st.SMTSolved, st.SMTCacheHits)
 	}
 }
 
@@ -265,7 +266,7 @@ func TestAnalyzeErrors(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 
 	post := func(body string) int {
-		resp, err := http.Post(ts.URL+"/analyze", "application/json", strings.NewReader(body))
+		resp, err := http.Post(ts.URL+"/v1/analyze", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -309,13 +310,13 @@ func TestGracefulShutdown(t *testing.T) {
 	if base == "" {
 		t.Fatal("server did not bind")
 	}
-	resp, err := http.Get(base + "/readyz")
+	resp, err := http.Get(base + "/v1/ready")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/readyz before shutdown: %s", resp.Status)
+		t.Fatalf("/v1/ready before shutdown: %s", resp.Status)
 	}
 
 	cancel()

@@ -9,56 +9,25 @@ package smt
 // sequence. Shared subterms are serialized once and back-referenced by
 // emission number, so the fingerprint is linear in the DAG (not the tree).
 //
-// Two keys are produced:
-//
-//   - Exact preserves the assertion order and the argument order of every
-//     term. Equal Exact keys imply the two queries are variable-renamings
-//     of one another, which makes the whole solver run isomorphic: CNF
-//     variables are allocated in traversal order, the theory layer visits
-//     atoms in SAT-variable order, and branching breaks activity ties in
-//     variable-creation order. A cached verdict AND a cached model can
-//     therefore be replayed, reproducing a fresh solve bit-for-bit.
-//
-//   - Shape additionally sorts the arguments of commutative operators
-//     (and/or/=/+/*) into a canonical order, merging queries that differ
-//     only by operand permutation. Solver runs for shape-equal queries
-//     are NOT isomorphic, so shape entries may only carry verdicts whose
-//     replay cannot change observable output: Unsat (the solver proves
-//     absence of any model passing the same theory filter, a property
-//     invariant under operand permutation). Sat models and Unknown
-//     verdicts are never served from the shape tier.
-//
-// Shape normalization orders commutative siblings by a per-subtree
-// "pattern hash" — a hash of the subtree serialized with subtree-local
-// variable numbering — so alpha-variant siblings compare equal and land
-// in a stable order. Siblings with identical patterns that share
-// variables with each other can still serialize differently under
-// permutation (full commutative canonicalization is graph-isomorphism
-// hard); such collisions only cost a cache miss, never a wrong hit.
+// Equal keys imply the two queries are variable-renamings of one another,
+// which makes the whole solver run isomorphic: CNF variables are allocated
+// in traversal order, the theory layer visits atoms in SAT-variable order,
+// and branching breaks activity ties in variable-creation order. A cached
+// verdict AND a cached model can therefore be replayed, reproducing a fresh
+// solve bit-for-bit. The key preserves assertion order and the argument
+// order of every term: operand permutations are distinct queries.
 
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"sort"
 )
 
 // Canon is the canonical fingerprint of an asserted formula sequence.
 type Canon struct {
 	// Exact is the alpha-normalized, order-preserving key.
 	Exact [32]byte
-	// Shape is the alpha- and commutative-normalized key.
-	Shape [32]byte
 
 	vars []*Term // TVars in exact first-occurrence order; index = canonical id
-}
-
-// commutative reports whether a term kind ignores argument order.
-func commutative(k TermKind) bool {
-	switch k {
-	case TAnd, TOr, TEq, TAdd, TMul:
-		return true
-	}
-	return false
 }
 
 // canonEnc serializes a term DAG into buf with alpha-normalized variables
@@ -68,9 +37,6 @@ type canonEnc struct {
 	seen  map[int]int // term id -> emission number
 	varID map[int]int // TVar term id -> canonical variable index
 	vars  []*Term
-	// shape, when non-nil, holds memoized pattern hashes and enables
-	// commutative argument sorting.
-	shape map[int][32]byte
 }
 
 func (e *canonEnc) uvarint(v uint64) {
@@ -104,77 +70,20 @@ func (e *canonEnc) emit(t *Term) {
 		return
 	}
 	e.uvarint(uint64(len(t.Args)))
-	args := t.Args
-	if e.shape != nil && commutative(t.Kind) && len(args) > 1 {
-		args = e.sortArgs(args)
-	}
-	for _, a := range args {
+	for _, a := range t.Args {
 		e.emit(a)
 	}
-}
-
-// sortArgs returns the arguments ordered by pattern hash (stable on ties,
-// so alpha-identical siblings keep their original relative order).
-func (e *canonEnc) sortArgs(args []*Term) []*Term {
-	out := make([]*Term, len(args))
-	copy(out, args)
-	for _, a := range out {
-		e.patternHash(a) // memoize before sorting
-	}
-	sort.SliceStable(out, func(i, j int) bool {
-		hi, hj := e.shape[out[i].id], e.shape[out[j].id]
-		for k := 0; k < len(hi); k++ {
-			if hi[k] != hj[k] {
-				return hi[k] < hj[k]
-			}
-		}
-		return false
-	})
-	return out
-}
-
-// patternHash hashes t serialized with subtree-local variable numbering
-// and subtree-local back-references; it is invariant under alpha renaming
-// and (recursively) under commutative argument permutation.
-func (e *canonEnc) patternHash(t *Term) [32]byte {
-	if h, ok := e.shape[t.id]; ok {
-		return h
-	}
-	sub := &canonEnc{
-		seen:  make(map[int]int),
-		varID: make(map[int]int),
-		shape: e.shape,
-	}
-	sub.emit(t)
-	h := sha256.Sum256(sub.buf)
-	e.shape[t.id] = h
-	return h
 }
 
 // Fingerprint computes the canonical fingerprint of an asserted sequence.
 // All terms must come from one TermBuilder (ids must be consistent).
 func Fingerprint(terms []*Term) *Canon {
-	c := &Canon{}
-
-	exact := &canonEnc{seen: make(map[int]int), varID: make(map[int]int)}
+	e := &canonEnc{seen: make(map[int]int), varID: make(map[int]int)}
 	for _, t := range terms {
-		exact.emit(t)
-		exact.buf = append(exact.buf, ';')
+		e.emit(t)
+		e.buf = append(e.buf, ';')
 	}
-	c.Exact = sha256.Sum256(exact.buf)
-	c.vars = exact.vars
-
-	shape := &canonEnc{
-		seen:  make(map[int]int),
-		varID: make(map[int]int),
-		shape: make(map[int][32]byte),
-	}
-	for _, t := range terms {
-		shape.emit(t)
-		shape.buf = append(shape.buf, ';')
-	}
-	c.Shape = sha256.Sum256(shape.buf)
-	return c
+	return &Canon{Exact: sha256.Sum256(e.buf), vars: e.vars}
 }
 
 // NumVars returns the number of distinct variables in the fingerprinted

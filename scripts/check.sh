@@ -6,7 +6,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 echo "== gofmt"
-unformatted=$(gofmt -l cmd internal examples ./*.go)
+unformatted=$(gofmt -l cmd internal examples scripts ./*.go)
 if [ -n "$unformatted" ]; then
     echo "gofmt needed on:" >&2
     echo "$unformatted" >&2
@@ -35,11 +35,17 @@ trap 'rm -rf "$tmpdir"' EXIT
 go run ./cmd/pinpoint -checkers all -workers -1 \
     -trace "$tmpdir/trace.json" -stats-json "$tmpdir/stats.json" \
     examples/mc/*.mc >/dev/null || [ $? -eq 1 ]
-for f in trace.json stats.json; do
-    if ! python3 -c "import json,sys; json.load(open(sys.argv[1]))" "$tmpdir/$f"; then
-        echo "$f is not valid JSON" >&2
-        exit 1
-    fi
-done
+go run ./scripts/jsoncheck "$tmpdir/trace.json" "$tmpdir/stats.json"
+
+echo "== pinpoint CLI warm round (-repeat 2)"
+# The second round re-reads unchanged inputs on the same session, so every
+# artifact must be reused: the last artifacts line reports 0 misses.
+go run ./cmd/pinpoint -checkers all -repeat 2 -stats \
+    examples/mc/*.mc >/dev/null 2>"$tmpdir/repeat.log" || [ $? -eq 1 ]
+if ! grep 'artifacts:' "$tmpdir/repeat.log" | tail -n 1 | grep -q ' 0 misses,'; then
+    echo "second -repeat round rebuilt artifacts:" >&2
+    cat "$tmpdir/repeat.log" >&2
+    exit 1
+fi
 
 echo "OK"

@@ -1,4 +1,4 @@
-// Command mkreq packs MiniC source files into a POST /analyze request body
+// Command mkreq packs MiniC source files into a POST /v1/analyze request body
 // (see internal/server.AnalyzeRequest). scripts/serve_smoke.sh uses it to
 // build smoke-test requests without depending on jq or python.
 //

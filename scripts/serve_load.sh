@@ -39,7 +39,7 @@ echo "== start serve on $ADDR"
 server_pid=$!
 ready=""
 for _ in $(seq 1 100); do
-  if curl -fsS "$BASE/readyz" >/dev/null 2>&1; then ready=1; break; fi
+  if curl -fsS "$BASE/v1/ready" >/dev/null 2>&1; then ready=1; break; fi
   if ! kill -0 "$server_pid" 2>/dev/null; then
     echo "serve_load.sh: server exited during startup" >&2
     cat "$tmpdir/serve.log" >&2

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Smoke test for the analysis service: start `pinpoint serve`, wait for
 # readiness, POST every example program, and assert that the reports come
-# back and the /metrics exposition carries non-zero detect.* counters.
+# back and the /v1/metrics exposition carries non-zero detect.* counters.
 # Used by CI's serve-smoke job and runnable locally.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -38,7 +38,7 @@ server_pid=$!
 # Wait for readiness (the binary is prebuilt, so this is fast).
 ready=""
 for _ in $(seq 1 100); do
-  if curl -fsS "$BASE/readyz" >/dev/null 2>&1; then ready=1; break; fi
+  if curl -fsS "$BASE/v1/ready" >/dev/null 2>&1; then ready=1; break; fi
   if ! kill -0 "$server_pid" 2>/dev/null; then
     echo "serve_smoke.sh: server exited during startup" >&2
     cat "$tmpdir/serve.log" >&2
@@ -52,10 +52,10 @@ if [ -z "$ready" ]; then
   exit 1
 fi
 
-echo "== POST /analyze (all examples, witness on)"
+echo "== POST /v1/analyze (all examples, witness on)"
 go run ./scripts/mkreq -checkers all -witness examples/mc/*.mc >"$tmpdir/req.json"
 curl -fsS -X POST -H 'Content-Type: application/json' \
-  --data-binary @"$tmpdir/req.json" "$BASE/analyze" >"$tmpdir/resp.json"
+  --data-binary @"$tmpdir/req.json" "$BASE/v1/analyze" >"$tmpdir/resp.json"
 go run ./scripts/jsoncheck "$tmpdir/resp.json"
 grep -q '"traceId"' "$tmpdir/resp.json"
 grep -q '"provenance"' "$tmpdir/resp.json"
@@ -64,7 +64,7 @@ if grep -q '"reports": \[\]' "$tmpdir/resp.json"; then
   exit 1
 fi
 
-echo "== per-request timing breakdown (via /v1/analyze)"
+echo "== per-request timing breakdown (second /v1/analyze)"
 curl -fsS -X POST -H 'Content-Type: application/json' \
   --data-binary @"$tmpdir/req.json" "$BASE/v1/analyze" >"$tmpdir/resp_v1.json"
 go run ./scripts/jsoncheck "$tmpdir/resp_v1.json"
@@ -97,8 +97,8 @@ if ! grep -q '"project": "alpha"' "$tmpdir/resp_alpha.json"; then
   exit 1
 fi
 
-echo "== scrape /metrics"
-curl -fsS "$BASE/metrics" >"$tmpdir/metrics.txt"
+echo "== scrape /v1/metrics"
+curl -fsS "$BASE/v1/metrics" >"$tmpdir/metrics.txt"
 for metric in pinpoint_detect_reports pinpoint_detect_tasks pinpoint_server_requests; do
   value="$(awk -v m="$metric" '$1 == m { print $2 }' "$tmpdir/metrics.txt")"
   if [ -z "$value" ] || [ "$value" = "0" ]; then
@@ -112,7 +112,7 @@ done
 for phase in build detect smt; do
   for tenant in default alpha; do
     if ! grep -q "pinpoint_server_phase_ns_count{phase=\"$phase\",tenant=\"$tenant\"}" "$tmpdir/metrics.txt"; then
-      echo "serve_smoke.sh: phase histogram for phase=$phase tenant=$tenant missing from /metrics" >&2
+      echo "serve_smoke.sh: phase histogram for phase=$phase tenant=$tenant missing from /v1/metrics" >&2
       exit 1
     fi
   done
@@ -125,7 +125,7 @@ if [ "$resident" != "2" ]; then
 fi
 for gauge in pinpoint_server_queue_depth pinpoint_server_inflight; do
   if ! grep -q "^# TYPE $gauge gauge" "$tmpdir/metrics.txt"; then
-    echo "serve_smoke.sh: gauge $gauge missing from /metrics" >&2
+    echo "serve_smoke.sh: gauge $gauge missing from /v1/metrics" >&2
     exit 1
   fi
 done
@@ -139,10 +139,16 @@ for project in default alpha; do
     exit 1
   fi
 done
-curl -fsS "$BASE/debug/tenants" | go run ./scripts/jsoncheck /dev/stdin
-curl -fsS "$BASE/debug/session" | go run ./scripts/jsoncheck /dev/stdin
-curl -fsS "$BASE/debug/inflight" | go run ./scripts/jsoncheck /dev/stdin
-curl -fsS "$BASE/healthz" >/dev/null
+curl -fsS "$BASE/v1/debug/inflight" | go run ./scripts/jsoncheck /dev/stdin
+curl -fsS "$BASE/v1/health" >/dev/null
+# Every route lives under /v1/ only; the retired spellings must not answer.
+for path in /analyze /healthz /readyz /metrics /v1/healthz /v1/readyz; do
+  code=$(curl -s -o /dev/null -w '%{http_code}' "$BASE$path")
+  if [ "$code" != 404 ]; then
+    echo "serve_smoke.sh: retired route $path answered $code, want 404" >&2
+    exit 1
+  fi
+done
 
 echo "== flight recorder: /v1/debug/timeseries"
 # The sampler ticks every 200ms; poll until the phase histograms have at
@@ -188,8 +194,8 @@ if ! grep -q '"requests": [1-9]' "$tmpdir/slo.json"; then
   echo "serve_smoke.sh: /v1/debug/slo counted no analyze requests" >&2
   exit 1
 fi
-# The burn gauges ride /metrics once the sampler hook has run.
-curl -fsS "$BASE/metrics" >"$tmpdir/metrics2.txt"
+# The burn gauges ride /v1/metrics once the sampler hook has run.
+curl -fsS "$BASE/v1/metrics" >"$tmpdir/metrics2.txt"
 grep -q 'pinpoint_server_slo_burn_rate{window="fast"}' "$tmpdir/metrics2.txt"
 
 echo "== graceful shutdown"

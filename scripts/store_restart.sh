@@ -50,7 +50,7 @@ start_server() {
     -store-dir "$tmpdir/store" -max-tenants 1 -tenant-idle -1s >"$log" 2>&1 &
   server_pid=$!
   for _ in $(seq 1 100); do
-    if curl -fsS "$BASE/v1/readyz" >/dev/null 2>&1; then return 0; fi
+    if curl -fsS "$BASE/v1/ready" >/dev/null 2>&1; then return 0; fi
     if ! kill -0 "$server_pid" 2>/dev/null; then
       echo "store_restart.sh: server exited during startup" >&2
       cat "$log" >&2
