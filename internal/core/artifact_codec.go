@@ -8,23 +8,30 @@ import (
 	"repro/internal/ir"
 	"repro/internal/modref"
 	"repro/internal/obs"
-	"repro/internal/pta"
-	"repro/internal/seg"
 	"repro/internal/ssa"
 	"repro/internal/store"
 	"repro/internal/wirebin"
 )
 
-// Serialization of funcArtifacts for the persistent store. The wire form
-// composes the per-package codecs (cond, ir, ssa, pta, seg) plus the
-// session's own fingerprints, encoded with the wirebin binary layout —
-// a flat length-prefixed format the per-package codecs read with a linear
-// scan. The first cut of this file used encoding/gob; it lost a cold-vs-
-// warm benchmark race twice over, first re-transmitting the type graph and
-// recompiling decode engines per record, then (with records bundled into
-// segments) spending the warm window inside reflective struct decoding.
-// The hand-rolled codec decodes the same segments several-fold faster and
-// packs them tighter on disk.
+// Serialization of funcArtifacts for the persistent store. A record holds
+// only the front half of a function's build — the part that costs more to
+// rebuild than to decode:
+//
+//   - the lowered, SSA-converted, connector-transformed IR (ir codec);
+//   - the SSA info and the condition nodes it references (ssa, cond);
+//   - the Mod/Ref summary, the AST/summary/signature/dependency
+//     fingerprints, and the callee list.
+//
+// The back half — the local points-to result and the SEG — is not
+// persisted. Both are linear, per-function passes over the IR above
+// (§3.1.1, Definition 3.2). Re-deriving them costs about as much CPU as
+// decoding them (DESIGN.md "Persistent store" has the per-kind numbers),
+// and the rebuild runs on every worker inside the build wavefront instead
+// of on the single goroutine that scans segments.
+// A warm-loaded artifact therefore arrives with seg == nil and its F-node
+// runs pta.Analyze and seg.Build on it (session.go). The fields are
+// encoded with the wirebin binary layout, a flat length-prefixed format
+// read with a linear scan.
 //
 // Artifacts persist in *segments*: one record holding many artifacts on a
 // single stream, instead of one record per function, so per-record store
@@ -46,17 +53,19 @@ import (
 //
 // A segment from a different program shape, codec version, or with a
 // corrupt stream decodes to a miss for everything in it; corruption costs
-// a rebuild, never a wrong artifact — the same contract the per-function
-// records had. The cached AST declaration (funcArtifact.decl) is
-// deliberately absent: Update always refreshes it from the current parse
-// before anything reads it, so persisting it would only risk staleness.
+// a rebuild, never a wrong artifact and never a panic. Decoded counts and
+// IDs are untrusted and bounds-checked before use. The cached AST
+// declaration (funcArtifact.decl) is deliberately absent: Update always
+// refreshes it from the current parse before anything reads it, so
+// persisting it would only risk staleness.
 
 // artifactCodecVersion gates decoding: bump on any wire-format change so
-// old records read as misses instead of garbage. Version 3 is the wirebin
-// binary layout (version 2 was the same segment scheme gob-encoded);
+// old records read as misses instead of garbage. Version 4 dropped the
+// points-to result and the SEG from the record; version 3 was the first
+// wirebin layout (version 2 was the same segment scheme gob-encoded);
 // version-1 per-function records are simply never read (their keys are
 // plain function names, which the segment loader does not consult).
-const artifactCodecVersion = 3
+const artifactCodecVersion = 4
 
 // segMagic opens every segment record, so foreign bytes fail fast before
 // any field decoding.
@@ -88,8 +97,6 @@ type pathFlagWire struct {
 }
 
 type artifactWire struct {
-	Version int
-	ProgFP  string
 	Name    string
 	AstHash string
 	SumFP   string
@@ -101,13 +108,6 @@ type artifactWire struct {
 	Conds   []cond.NodeWire
 	Fn      *ir.FuncWire
 	Info    *ssa.InfoWire
-	PTA     *pta.ResultWire
-	SEG     *seg.GraphWire
-
-	SegNodes  int
-	SegEdges  int
-	CondNodes int
-	PTAStats  pta.Stats
 }
 
 // artifactMeta is the change-detection key for re-persisting: if it is
@@ -168,31 +168,25 @@ func importSummary(has bool, ws []pathFlagWire) *modref.Summary {
 }
 
 // exportArtifactWire flattens art into its wire form.
-func exportArtifactWire(name, progFP string, art *funcArtifact) (*artifactWire, error) {
-	condsWire, err := art.info.Conds.Export()
+func exportArtifactWire(name string, art *funcArtifact) (*artifactWire, error) {
+	conds, err := art.info.Conds.Export()
 	if err != nil {
 		return nil, fmt.Errorf("artifact %s: %w", name, err)
 	}
-	fnWire, _ := ir.ExportFunc(art.fn)
+	// Detection grows the builder in place after the build. Persist only
+	// the nodes that existed when the build snapshotted condNodes (a
+	// prefix: operands always precede their users), so the reload's PTA
+	// and SEG rebuild hash-conses back to exactly that node count.
 	w := &artifactWire{
-		Version: artifactCodecVersion,
-		ProgFP:  progFP,
 		Name:    name,
 		AstHash: art.astHash,
 		SumFP:   art.sumFP,
 		SigFP:   art.sigFP,
 		DepFP:   art.depFP,
 		Callees: art.callees,
-		Conds:   condsWire,
-		Fn:      fnWire,
+		Conds:   conds[:art.condNodes],
+		Fn:      ir.ExportFunc(art.fn),
 		Info:    ssa.ExportInfo(art.info),
-		PTA:     pta.ExportResult(art.seg.PTA),
-		SEG:     seg.ExportGraph(art.seg),
-
-		SegNodes:  art.segNodes,
-		SegEdges:  art.segEdges,
-		CondNodes: art.condNodes,
-		PTAStats:  art.ptaStats,
 	}
 	w.HasSum, w.Sum = exportSummary(art.sum)
 	return w, nil
@@ -239,20 +233,10 @@ func appendArtifactWire(e *wirebin.Writer, w *artifactWire) {
 	cond.AppendNodeWires(e, w.Conds)
 	w.Fn.AppendWire(e)
 	w.Info.AppendWire(e)
-	w.PTA.AppendWire(e)
-	w.SEG.AppendWire(e)
-	e.Int(w.SegNodes)
-	e.Int(w.SegEdges)
-	e.Int(w.CondNodes)
-	e.Int(w.PTAStats.GuardsPruned)
-	e.Int(w.PTAStats.GuardsKept)
-	e.Int(w.PTAStats.CapWidened)
-	e.Int(w.PTAStats.LinearQueries)
-	e.Int(w.PTAStats.LinearUnsat)
 }
 
 func decodeArtifactWire(r *wirebin.Reader) (*artifactWire, error) {
-	w := &artifactWire{Version: artifactCodecVersion}
+	w := &artifactWire{}
 	w.Name = r.Str()
 	w.AstHash = r.Str()
 	w.SumFP = r.Str()
@@ -271,23 +255,6 @@ func decodeArtifactWire(r *wirebin.Reader) (*artifactWire, error) {
 	if w.Info, err = ssa.DecodeInfoWire(r); err != nil {
 		return nil, err
 	}
-	if w.PTA, err = pta.DecodeResultWire(r); err != nil {
-		return nil, err
-	}
-	if w.SEG, err = seg.DecodeGraphWire(r); err != nil {
-		return nil, err
-	}
-	w.SegNodes = r.Int()
-	w.SegEdges = r.Int()
-	w.CondNodes = r.Int()
-	w.PTAStats.GuardsPruned = r.Int()
-	w.PTAStats.GuardsKept = r.Int()
-	w.PTAStats.CapWidened = r.Int()
-	w.PTAStats.LinearQueries = r.Int()
-	w.PTAStats.LinearUnsat = r.Int()
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
 	return w, nil
 }
 
@@ -301,7 +268,7 @@ func encodeSegment(progFP string, seq int64, names []string, arts map[string]*fu
 	e.Varint(seq)
 	e.Int(len(names))
 	for _, name := range names {
-		w, err := exportArtifactWire(name, progFP, arts[name])
+		w, err := exportArtifactWire(name, arts[name])
 		if err != nil {
 			return nil, err
 		}
@@ -348,27 +315,22 @@ func decodeSegment(progFP string, data []byte) (segmentHeader, []namedArtifact, 
 		if err != nil {
 			return hdr, nil, fmt.Errorf("segment entry %d: %w", i, err)
 		}
-		w.ProgFP = progFP
-		art, err := importArtifact(w, progFP)
+		art, err := importArtifact(w)
 		if err != nil {
 			continue
 		}
+		art.persistedMeta = artifactMeta(progFP, art)
 		out = append(out, namedArtifact{name: w.Name, art: art})
 	}
 	return hdr, out, nil
 }
 
-// importArtifact rebuilds a funcArtifact from its wire form. A record for
-// a different program shape or with missing pieces returns an error;
-// callers treat every error as a store miss and rebuild.
-func importArtifact(w *artifactWire, progFP string) (*funcArtifact, error) {
+// importArtifact rebuilds the front half of a funcArtifact from its wire
+// form; seg stays nil until the build wavefront re-derives the points-to
+// result and the SEG. An inconsistent record returns an error; callers
+// treat every error as a store miss and rebuild.
+func importArtifact(w *artifactWire) (*funcArtifact, error) {
 	name := w.Name
-	if w.ProgFP != progFP {
-		return nil, fmt.Errorf("artifact %s: program shape changed", name)
-	}
-	if w.Fn == nil || w.Info == nil || w.PTA == nil || w.SEG == nil {
-		return nil, fmt.Errorf("artifact %s: incomplete record", name)
-	}
 	b, nodes, err := cond.ImportBuilder(w.Conds)
 	if err != nil {
 		return nil, fmt.Errorf("artifact %s: %w", name, err)
@@ -384,31 +346,16 @@ func importArtifact(w *artifactWire, progFP string) (*funcArtifact, error) {
 	if err != nil {
 		return nil, fmt.Errorf("artifact %s: %w", name, err)
 	}
-	pr, err := pta.ImportResult(w.PTA, f, inf, ix, nodes)
-	if err != nil {
-		return nil, fmt.Errorf("artifact %s: %w", name, err)
-	}
-	g, err := seg.ImportGraph(w.SEG, f, inf, pr, ix, nodes)
-	if err != nil {
-		return nil, fmt.Errorf("artifact %s: %w", name, err)
-	}
-	art := &funcArtifact{
-		astHash:   w.AstHash,
-		sumFP:     w.SumFP,
-		sigFP:     w.SigFP,
-		depFP:     w.DepFP,
-		callees:   w.Callees,
-		sum:       importSummary(w.HasSum, w.Sum),
-		fn:        f,
-		info:      inf,
-		seg:       g,
-		segNodes:  w.SegNodes,
-		segEdges:  w.SegEdges,
-		condNodes: w.CondNodes,
-		ptaStats:  w.PTAStats,
-	}
-	art.persistedMeta = artifactMeta(progFP, art)
-	return art, nil
+	return &funcArtifact{
+		astHash: w.AstHash,
+		sumFP:   w.SumFP,
+		sigFP:   w.SigFP,
+		depFP:   w.DepFP,
+		callees: w.Callees,
+		sum:     importSummary(w.HasSum, w.Sum),
+		fn:      f,
+		info:    inf,
+	}, nil
 }
 
 // segState is the segment-ring bookkeeping a warm load recovers and every

@@ -56,18 +56,25 @@ type BuildOptions struct {
 	Obs *obs.Recorder
 	// Store, when non-nil and persistent, backs the session's per-function
 	// artifacts: they are warm-loaded on the first Update after a restart
-	// and every commit writes back what changed. SMT verdicts stay in
-	// memory; re-solving them after a restart costs less than reading
-	// them back. A non-persistent store (MemStore, the default nil) leaves
-	// behavior exactly as before — the in-memory maps are already the
-	// cache, so the byte round-trip would be pure overhead.
+	// and every commit writes back what changed. A record holds the front
+	// half of a function's build (transformed IR, SSA info, cond nodes,
+	// Mod/Ref summary, fingerprints); the points-to result and the SEG are
+	// rebuilt from it in the build wavefront, on every worker, for about
+	// the CPU that decoding them took. SMT verdicts stay in memory;
+	// re-solving them after a restart costs less than reading them back. A
+	// non-persistent store (MemStore, the default nil) leaves behavior
+	// exactly as before — the in-memory maps are already the cache, so the
+	// byte round-trip would be pure overhead.
 	Store store.Store
 }
 
 // Timings records per-stage durations. StoreLoad and StoreSave are
-// persistent-store I/O (segment decode on a warm restart, segment
-// append at commit); they are reported separately from the pipeline
-// stages so Total keeps its historical meaning of "analysis work".
+// persistent-store I/O (segment read and decode on a warm restart,
+// segment encode and append at commit); they are reported separately from
+// the pipeline stages so Total keeps its historical meaning of "analysis
+// work". On a warm restart Lower and SSA stay zero for store-loaded
+// functions, while PTA and SEG include rebuilding their back half from
+// the loaded IR.
 type Timings struct {
 	Parse     time.Duration
 	Lower     time.Duration

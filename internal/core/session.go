@@ -78,7 +78,7 @@ type funcArtifact struct {
 	sum     *modref.Summary
 	fn      *ir.Func // lowered, SSA-converted, connector-transformed
 	info    *ssa.Info
-	seg     *seg.Graph
+	seg     *seg.Graph // nil until the wavefront rebuilds a store-loaded artifact
 	// Size counters snapshotted right after the build: detection later
 	// grows cond nodes and SEG value nodes in place, so live recounts of
 	// retained artifacts would drift from a cold build's numbers.
@@ -286,7 +286,9 @@ func (s *Session) Update(units []minic.NamedSource) (*Analysis, error) {
 	// fingerprint they were built under, so a shape change reads as a miss
 	// — the same rule shapeChanged applies to the in-memory map. Any
 	// decode failure (truncated, bit-flipped, stale codec) is also just a
-	// miss: corruption costs a rebuild, never a wrong artifact.
+	// miss: corruption costs a rebuild, never a wrong artifact. Loaded
+	// artifacts carry only the front half; their F-nodes rebuild PTA and
+	// the SEG.
 	ring := s.ring
 	if s.store != nil && !s.storeLoaded {
 		sp := rec.Phase("store.load")
@@ -340,7 +342,8 @@ func (s *Session) Update(units []minic.NamedSource) (*Analysis, error) {
 	//   - an F-node per function finishes a rebuilt function — call-site
 	//     rewriting, PTA, SEG, artifact assembly — depending only on its
 	//     own S-node, so the expensive per-function tail never blocks the
-	//     interprocedural frontier.
+	//     interprocedural frontier. A retained function warm-loaded from
+	//     the store gets PTA and SEG only: its IR is already rewritten.
 	//
 	// Each node writes only fnState fields it owns and reads callee state
 	// strictly after the owning node completed (the scheduler supplies
@@ -501,12 +504,38 @@ func (s *Session) Update(units []minic.NamedSource) (*Analysis, error) {
 		}
 		return nil
 	}
+	// buildBack runs the back half — PTA and SEG — on art's final IR and
+	// fills the artifact's graph and size snapshot in place.
+	buildBack := func(w int, name string, art *funcArtifact) error {
+		t1 := time.Now()
+		endPTA := perFunc(rec, w, "build.pta", name)
+		pr, err := pta.Analyze(art.fn, art.info, s.opts.PTA)
+		endPTA()
+		atomic.AddInt64(&ptaNs, int64(time.Since(t1)))
+		if err != nil {
+			return fmt.Errorf("pta %s: %w", name, err)
+		}
+		t1 = time.Now()
+		endSEG := perFunc(rec, w, "build.seg", name)
+		g := seg.Build(art.fn, art.info, pr)
+		endSEG()
+		atomic.AddInt64(&segNs, int64(time.Since(t1)))
+		art.seg = g
+		art.segNodes, art.segEdges = g.NumNodes(), g.NumEdges()
+		art.condNodes = art.info.Conds.NumNodes()
+		art.ptaStats = pr.Stats
+		return nil
+	}
 	runFinish := func(w int, name string) error {
 		st := states[name]
 		if !st.rebuild {
-			return nil
+			if st.old.seg != nil {
+				return nil
+			}
+			// Warm-loaded from the store: the record holds the final IR
+			// and SSA info but not the back half.
+			return buildBack(w, name, st.old)
 		}
-		f := st.finalFn
 		if st.prep != nil {
 			t1 := time.Now()
 			endT := perFunc(rec, w, "build.transform", name)
@@ -517,36 +546,18 @@ func (s *Session) Update(units []minic.NamedSource) (*Analysis, error) {
 				return fmt.Errorf("transform: transform %s: %w", name, err)
 			}
 		}
-		t1 := time.Now()
-		endPTA := perFunc(rec, w, "build.pta", name)
-		pr, err := pta.Analyze(f, st.finalInfo, s.opts.PTA)
-		endPTA()
-		atomic.AddInt64(&ptaNs, int64(time.Since(t1)))
-		if err != nil {
-			return fmt.Errorf("pta %s: %w", name, err)
-		}
-		t1 = time.Now()
-		endSEG := perFunc(rec, w, "build.seg", name)
-		g := seg.Build(f, st.finalInfo, pr)
-		endSEG()
-		atomic.AddInt64(&segNs, int64(time.Since(t1)))
 		st.art = &funcArtifact{
-			astHash:   st.astHash,
-			sumFP:     st.sumFP,
-			sigFP:     st.sigFP,
-			depFP:     st.depFP,
-			decl:      st.decl,
-			callees:   st.callees,
-			sum:       st.sum,
-			fn:        f,
-			info:      st.finalInfo,
-			seg:       g,
-			segNodes:  g.NumNodes(),
-			segEdges:  g.NumEdges(),
-			condNodes: st.finalInfo.Conds.NumNodes(),
-			ptaStats:  pr.Stats,
+			astHash: st.astHash,
+			sumFP:   st.sumFP,
+			sigFP:   st.sigFP,
+			depFP:   st.depFP,
+			decl:    st.decl,
+			callees: st.callees,
+			sum:     st.sum,
+			fn:      st.finalFn,
+			info:    st.finalInfo,
 		}
-		return nil
+		return buildBack(w, name, st.art)
 	}
 
 	// DAG layout: [0,nL) L-nodes for AST-dirty functions, [nL,nL+nS)

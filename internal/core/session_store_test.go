@@ -10,6 +10,7 @@ import (
 	"repro/internal/checkers"
 	"repro/internal/core"
 	"repro/internal/detect"
+	"repro/internal/minic"
 	"repro/internal/store"
 	"repro/internal/workload"
 )
@@ -104,6 +105,12 @@ func TestSessionStoreWarmRestartEquivalence(t *testing.T) {
 		}
 		if stats.StoreHits != stats.Hits || stats.StoreHits == 0 {
 			t.Fatalf("warm restart stats %+v: want every hit store-loaded", stats)
+		}
+		// The record holds the front half (IR, SSA info): nothing is
+		// lowered or SSA-converted again. The back half (PTA, SEG) is
+		// rebuilt from it in the wavefront.
+		if tm := a2.Timings; tm.Lower != 0 || tm.SSA != 0 || tm.PTA == 0 || tm.SEG == 0 {
+			t.Fatalf("warm restart timings %+v: want Lower = SSA = 0 and PTA, SEG > 0", tm)
 		}
 		restartRes := normalizeResults(a2.CheckAll(specs, dopts))
 		if err := st2.Close(); err != nil {
@@ -243,4 +250,142 @@ func TestSessionStoreCorruption(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// guardedChainUnits is firewallUnits with branches: top frees a pointer
+// under c and hands it to mid, so the use-after-free search conjoins
+// conditions inside top and grows its condition builder after the build.
+func guardedChainUnits(wSrc string) []minic.NamedSource {
+	return []minic.NamedSource{
+		{Name: "a.mc", Src: `int gg;
+void top(int *p, bool c, bool d) { int *q = malloc(); if (c) { free(q); } if (d) { mid(q, c); } mid(p, d); }`},
+		{Name: "b.mc", Src: `void mid(int *p, bool c) { if (!c) { w(p); } else { w(p); } }`},
+		{Name: "c.mc", Src: wSrc},
+	}
+}
+
+// TestSessionStoreRestartAfterFirewall restarts on a store whose records
+// were re-persisted after detection ran: a summary-only edit of w refreshes
+// the retained callers mid and top through the firewall, and commit
+// re-persists them after CheckAll has grown their condition builders in
+// place (on the guarded chain; the plain firewall chain has no branches to
+// grow). The restart must load all three functions and match a cold build
+// in reports, stats, Sizes (including CondNodes) and PTAStats.
+func TestSessionStoreRestartAfterFirewall(t *testing.T) {
+	specs := checkers.All()
+	dopts := detect.Options{Workers: 1}
+	for _, tc := range []struct {
+		name  string
+		units func(wSrc string) []minic.NamedSource
+		grows bool
+	}{
+		{"firewall", firewallUnits, false},
+		{"guarded", guardedChainUnits, true},
+	} {
+		edited := tc.units(`void w(int *p) { int t = *p; *p = t + 1; }`)
+		dir := t.TempDir()
+
+		st1 := openDisk(t, dir, 0)
+		s1 := core.NewSession(core.BuildOptions{Store: st1})
+		a1, err := s1.Update(tc.units(`void w(int *p) { *p = 1; }`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		a1.CheckAll(specs, dopts)
+		grown := -a1.Sizes.CondNodes
+		for _, inf := range a1.Infos {
+			grown += inf.Conds.NumNodes()
+		}
+		if tc.grows != (grown > 0) {
+			t.Fatalf("%s: detection grew %d cond nodes", tc.name, grown)
+		}
+		a1, err = s1.Update(edited)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := s1.ArtifactStats(); st.Invalidated != 1 || st.Hits != 2 {
+			t.Fatalf("%s: firewall stats = %+v (want 1 invalidated, 2 hits)", tc.name, st)
+		}
+		a1.CheckAll(specs, dopts)
+		if err := st1.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		st2 := openDisk(t, dir, 0)
+		s2 := core.NewSession(core.BuildOptions{Store: st2})
+		a2, err := s2.Update(edited)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := s2.ArtifactStats(); st.StoreHits != 3 || st.Hits != 3 {
+			t.Fatalf("%s: restart stats = %+v (want 3 store hits)", tc.name, st)
+		}
+		coldA, err := core.NewSession(core.BuildOptions{}).Update(edited)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkEquivalent(t, tc.name, a2, coldA, 1)
+		if err := st2.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestSessionStoreOldCodecVersion restarts on a store whose full segment
+// carries codec version 3, the layout that still persisted the points-to
+// result and the SEG. The stale segment is one clean miss: the first
+// restart rebuilds every function with reports identical to a cold build
+// and rewrites the segment, and the next restart loads everything.
+func TestSessionStoreOldCodecVersion(t *testing.T) {
+	gen := workload.Generate(workload.Subjects[2], workload.GenOptions{Scale: 40, Taint: true})
+	specs := checkers.All()
+	dopts := detect.Options{Workers: 1}
+	coldA, err := core.NewSession(core.BuildOptions{}).Update(gen.Units)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coldB := reportsJSON(t, normalizeResults(coldA.CheckAll(specs, dopts)).Reports)
+	dir := t.TempDir()
+
+	// Populate the store, then rewrite the full segment's version field:
+	// "ppsg" is followed by the version as a zig-zag varint (4 → 8, 3 → 6).
+	st := openDisk(t, dir, 0)
+	if _, err := core.NewSession(core.BuildOptions{Store: st}).Update(gen.Units); err != nil {
+		t.Fatal(err)
+	}
+	data, ok, err := st.Get(store.NSArtifact, "!full")
+	if err != nil || !ok || len(data) < 5 || string(data[:5]) != "ppsg\x08" {
+		t.Fatalf("full segment: ok=%v err=%v prefix %q", ok, err, data[:min(len(data), 5)])
+	}
+	old := append([]byte(nil), data...)
+	old[4] = 6
+	if err := st.Put(store.NSArtifact, "!full", old); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	for round, wantHits := range []bool{false, true} {
+		st := openDisk(t, dir, 0)
+		s := core.NewSession(core.BuildOptions{Store: st})
+		a, err := s.Update(gen.Units)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stats := s.ArtifactStats()
+		if wantHits && (stats.StoreHits != stats.Hits || stats.Misses != 0) {
+			t.Fatalf("round %d: stats %+v, want every function store-loaded", round, stats)
+		}
+		if !wantHits && (stats.StoreHits != 0 || stats.Misses != a.Sizes.Functions) {
+			t.Fatalf("round %d: stats %+v, want every function rebuilt", round, stats)
+		}
+		got := reportsJSON(t, normalizeResults(a.CheckAll(specs, dopts)).Reports)
+		if !bytes.Equal(got, coldB) {
+			t.Fatalf("round %d: reports differ from cold\ngot: %s\nwant: %s", round, got, coldB)
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
 }

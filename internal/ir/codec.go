@@ -107,16 +107,16 @@ func (t *strTable) id(s string) int32 {
 }
 
 // Index maps a function's dense ID spaces back to pointers. The companion
-// codecs (ssa, pta, seg) resolve their serialized references through it.
+// ssa codec resolves its serialized references through it.
 type Index struct {
 	Values []*Value
 	Instrs []*Instr
 	Blocks []*Block
 }
 
-// BuildIndex collects every value, instruction, and block reachable from f
+// buildIndex collects every value, instruction, and block reachable from f
 // into ID-indexed tables.
-func BuildIndex(f *Func) *Index {
+func buildIndex(f *Func) *Index {
 	ix := &Index{
 		Values: make([]*Value, f.nextValID),
 		Instrs: make([]*Instr, f.nextInstrID),
@@ -173,11 +173,9 @@ func blockID(b *Block) int32 {
 	return int32(b.ID)
 }
 
-// ExportFunc flattens f into its wire form. The returned Index is the one
-// used during export, handed back so callers can serialize companion
-// structures against the same ID spaces.
-func ExportFunc(f *Func) (*FuncWire, *Index) {
-	ix := BuildIndex(f)
+// ExportFunc flattens f into its wire form.
+func ExportFunc(f *Func) *FuncWire {
+	ix := buildIndex(f)
 	w := &FuncWire{
 		Name: f.Name, Ret: f.Ret,
 		Entry: blockID(f.Entry), Exit: blockID(f.Exit),
@@ -249,11 +247,32 @@ func ExportFunc(f *Func) (*FuncWire, *Index) {
 		w.Blocks[i] = bw
 	}
 	w.Strs = strs.s
-	return w, ix
+	return w
 }
 
-// ImportFunc rebuilds a Func (and its Index) from wire form.
+// maxIDsPerEntry bounds a wire function's ID counters by its own size.
+// Every ID below a counter was handed out once, but values and
+// instructions that died during lowering or SSA conversion leave no wire
+// entry, so a counter may exceed the live count — by less than 2x on the
+// workload subjects. A counter beyond maxIDsPerEntry times the live
+// entries (plus a small constant) is corruption; rejecting it keeps the
+// index allocation proportional to the record.
+const maxIDsPerEntry = 8
+
+// ImportFunc rebuilds a Func (and its Index) from wire form. The wire is
+// untrusted: every count and ID is checked before use, and a malformed
+// function is an error, never a panic.
 func ImportFunc(w *FuncWire) (*Func, *Index, error) {
+	entries := len(w.Values) + len(w.Blocks) + len(w.Params)
+	for _, bw := range w.Blocks {
+		entries += len(bw.Instrs)
+	}
+	limit := maxIDsPerEntry*entries + 64
+	for _, n := range []int32{w.NextValID, w.NextInstrID, w.NextBlockID} {
+		if n < 0 || int(n) > limit {
+			return nil, nil, fmt.Errorf("ir: import %s: implausible ID counter %d for %d entries", w.Name, n, entries)
+		}
+	}
 	f := &Func{
 		Name: w.Name, Ret: w.Ret, Unit: w.Unit, Pos: w.Pos,
 		AuxIn: w.AuxIn, AuxOut: w.AuxOut,
@@ -276,10 +295,9 @@ func ImportFunc(w *FuncWire) (*Func, *Index, error) {
 		}
 		return ix.Values[id], nil
 	}
+	// Blocks and operands are never nil in a function the build produced;
+	// only destinations and defs use the -1 slot.
 	block := func(id int32) (*Block, error) {
-		if id == -1 {
-			return nil, nil
-		}
 		if id < 0 || int(id) >= len(ix.Blocks) || ix.Blocks[id] == nil {
 			return nil, fmt.Errorf("ir: import %s: bad block id %d", w.Name, id)
 		}
@@ -398,8 +416,8 @@ func ImportFunc(w *FuncWire) (*Func, *Index, error) {
 			if len(iw.Args) > 0 {
 				in.Args = make([]*Value, len(iw.Args))
 				for k, id := range iw.Args {
-					if in.Args[k], err = value(id); err != nil {
-						return nil, nil, err
+					if in.Args[k], err = value(id); err != nil || in.Args[k] == nil {
+						return nil, nil, fmt.Errorf("ir: import %s: bad operand id %d", w.Name, id)
 					}
 				}
 			}
@@ -451,6 +469,9 @@ func ImportFunc(w *FuncWire) (*Func, *Index, error) {
 	}
 	if f.Exit, err = block(w.Exit); err != nil {
 		return nil, nil, err
+	}
+	if err := Verify(f); err != nil {
+		return nil, nil, fmt.Errorf("ir: import: %w", err)
 	}
 	return f, ix, nil
 }

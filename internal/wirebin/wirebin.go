@@ -1,14 +1,15 @@
 // Package wirebin provides a minimal append-style binary codec for the
 // persistent artifact store's wire structs.
 //
-// The artifact wire forms (ir.FuncWire, pta.ResultWire, ...) are flat
-// records of varints, strings, and int32 slices. encoding/gob handles them
-// correctly but pays for generality twice on every decode: reflective
-// struct walking (decodeStruct/decodeArrayHelper dominate warm-restart
-// profiles) and per-field allocation. A hand-rolled length-prefixed layout
-// decodes the same data with a linear buffer scan and no reflection, which
-// on the bench subject cuts artifact decode time by several-fold — the
-// difference between a warm restart beating a cold build and losing to it.
+// The artifact wire forms (ir.FuncWire, ssa.InfoWire, cond.NodeWire) are
+// flat records of varints, strings, and int32 slices. encoding/gob
+// handles them correctly but pays for generality twice on every decode:
+// reflective struct walking (decodeStruct/decodeArrayHelper dominate
+// warm-restart profiles) and per-field allocation. A hand-rolled
+// length-prefixed layout decodes the same data with a linear buffer scan
+// and no reflection, which on the bench subject cuts artifact decode time
+// by several-fold — the difference between a warm restart beating a cold
+// build and losing to it.
 //
 // Encoding conventions:
 //   - ints and int32s are zig-zag varints (negative sentinels like -1 stay

@@ -22,6 +22,12 @@ go build ./...
 echo "== go test -race"
 go test -race ./...
 
+echo "== fuzz smoke (artifact segment decoder)"
+# Stored bytes are untrusted: ten seconds of mutated segments must decode to
+# an error or to artifacts, never to a panic. A crasher is written under
+# internal/core/testdata/fuzz/FuzzDecodeSegment/ for the plain test run.
+go test -run '^$' -fuzz '^FuzzDecodeSegment$' -fuzztime 10s ./internal/core
+
 echo "== examples"
 for ex in quickstart useafterfree taintcheck crossfunction memoryleak; do
     echo "-- examples/$ex"
