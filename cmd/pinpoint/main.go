@@ -5,10 +5,9 @@
 //
 //	pinpoint [-checkers uaf,double-free,path-traversal,data-transmission,null-deref,memory-leak]
 //	         [-workers N] [-depth N] [-no-path-sensitivity] [-stats] [-provenance]
-//	         [-store-dir dir] [-store-max-bytes N]
-//	         [-trace out.json] [-stats-json out.json] [-pprof addr] file.mc...
+//	         [-store-dir dir] [-trace out.json] [-stats-json out.json] [-pprof addr] file.mc...
 //	pinpoint serve [-addr host:port] [-workers N] [-max-inflight N]
-//	         [-request-timeout d] [-log-json] [-store-dir dir] [-store-max-bytes N]
+//	         [-request-timeout d] [-log-json] [-store-dir dir]
 //	pinpoint explain [-checkers list] [-workers N] [-depth N] file.mc...
 //
 // Each file is one compilation unit. -checkers all selects every registered
@@ -67,7 +66,6 @@ func runBatch() {
 	repeat := flag.Int("repeat", 1, "build rounds on one session; inputs are re-read from disk before each round, so warm rounds rebuild only what changed")
 	provenance := flag.Bool("provenance", false, "capture per-report provenance (value-flow hops, path-condition size, verdict source); shown in -format json and by 'pinpoint explain'")
 	storeDir := flag.String("store-dir", "", "persist per-function artifacts in this directory across runs (empty = memory only)")
-	storeMaxBytes := flag.Int64("store-max-bytes", 0, "in-memory residency bound for the persistent store's record cache (0 = store default, negative = unbounded)")
 	flag.Parse()
 
 	if flag.NArg() == 0 {
@@ -105,7 +103,6 @@ func runBatch() {
 		Workers:                *workers,
 		Obs:                    rec,
 		StoreDir:               *storeDir,
-		StoreMaxBytes:          *storeMaxBytes,
 		MaxCallDepth:           *depth,
 		DisablePathSensitivity: *noPS,
 		Witness:                *provenance,

@@ -48,8 +48,8 @@ import (
 // version from the highest-sequence segment. Commit appends a delta for
 // small change sets and rewrites "!full" when the ring is exhausted or
 // more than half the program changed, which also re-bases the ring (later
-// full supersedes earlier deltas by sequence; the store's last-writer-wins
-// index bounds dead bytes to one live record per key).
+// full supersedes earlier deltas by sequence; the store keeps one record
+// per key, so the ring's footprint is bounded).
 //
 // A segment from a different program shape, codec version, or with a
 // corrupt stream decodes to a miss for everything in it; corruption costs

@@ -54,17 +54,16 @@ type BuildOptions struct {
 	// per-function stages, and structural gauges. nil disables all
 	// recording; the build result is identical either way.
 	Obs *obs.Recorder
-	// Store, when non-nil and persistent, backs the session's per-function
-	// artifacts: they are warm-loaded on the first Update after a restart
-	// and every commit writes back what changed. A record holds the front
+	// Store, when non-nil, backs the session's per-function artifacts:
+	// they are warm-loaded on the first Update after a restart and every
+	// commit writes back what changed. A record holds the front
 	// half of a function's build (transformed IR, SSA info, cond nodes,
 	// Mod/Ref summary, fingerprints); the points-to result and the SEG are
 	// rebuilt from it in the build wavefront, on every worker, for about
 	// the CPU that decoding them took. SMT verdicts stay in memory;
-	// re-solving them after a restart costs less than reading them back. A
-	// non-persistent store (MemStore, the default nil) leaves behavior
-	// exactly as before — the in-memory maps are already the cache, so the
-	// byte round-trip would be pure overhead.
+	// re-solving them after a restart costs less than reading them back.
+	// nil keeps the artifacts in memory only: the in-memory maps are
+	// already the cache, so no record is encoded or read.
 	Store store.Store
 }
 

@@ -110,10 +110,8 @@ type Session struct {
 	order     []string // committed declaration order of the artifact map
 	analysis  *Analysis
 	stats     ArtifactStats // last Update's counters
-	// store is the persistent artifact backing, nil when the
-	// configured Store cannot outlive the process (MemStore or none) —
-	// in that case the encode/decode round-trip could never pay off and
-	// the session behaves exactly like the historical memory-only one.
+	// store is the persistent artifact backing, nil for a memory-only
+	// session.
 	store store.Store
 	// Segment-ring bookkeeping for the persistent artifact store (see
 	// artifact_codec.go). storeLoaded gates the one-time warm-load pass:
@@ -135,9 +133,7 @@ func newSession(opts BuildOptions) *Session {
 		opts:      opts,
 		files:     make(map[string]*minic.File),
 		artifacts: make(map[string]*funcArtifact),
-	}
-	if opts.Store != nil && opts.Store.Persistent() {
-		s.store = opts.Store
+		store:     opts.Store,
 	}
 	return s
 }

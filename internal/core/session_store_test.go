@@ -2,8 +2,11 @@ package core_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
+	"hash/crc32"
 	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
 
@@ -16,9 +19,9 @@ import (
 )
 
 // openDisk opens a DiskStore in dir, failing the test on error.
-func openDisk(t *testing.T, dir string, maxResident int64) *store.DiskStore {
+func openDisk(t *testing.T, dir string) *store.DiskStore {
 	t.Helper()
-	st, err := store.Open(dir, store.DiskOptions{MaxResidentBytes: maxResident})
+	st, err := store.Open(dir, store.DiskOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +78,7 @@ func TestSessionStoreWarmRestartEquivalence(t *testing.T) {
 		coldRes := normalizeResults(coldA.CheckAll(specs, dopts))
 
 		// First process: populate the store.
-		st1 := openDisk(t, dir, 0)
+		st1 := openDisk(t, dir)
 		s1 := core.NewSession(core.BuildOptions{Workers: workers, Store: st1})
 		a1, err := s1.Update(gen.Units)
 		if err != nil {
@@ -93,7 +96,7 @@ func TestSessionStoreWarmRestartEquivalence(t *testing.T) {
 		}
 
 		// Second process: same directory, empty memory.
-		st2 := openDisk(t, dir, 0)
+		st2 := openDisk(t, dir)
 		s2 := core.NewSession(core.BuildOptions{Workers: workers, Store: st2})
 		a2, err := s2.Update(gen.Units)
 		if err != nil {
@@ -146,7 +149,7 @@ func TestSessionStoreWarmRestartAfterEdit(t *testing.T) {
 	}
 	dir := t.TempDir()
 
-	st1 := openDisk(t, dir, 0)
+	st1 := openDisk(t, dir)
 	s1 := core.NewSession(core.BuildOptions{Store: st1})
 	if _, err := s1.Update(gen.Units); err != nil {
 		t.Fatal(err)
@@ -158,7 +161,7 @@ func TestSessionStoreWarmRestartAfterEdit(t *testing.T) {
 	editedUnits := append(gen.Units[:0:0], gen.Units...)
 	editedUnits[0] = editUnit(t, editedUnits[0])
 
-	st2 := openDisk(t, dir, 0)
+	st2 := openDisk(t, dir)
 	s2 := core.NewSession(core.BuildOptions{Store: st2})
 	a2, err := s2.Update(editedUnits)
 	if err != nil {
@@ -184,8 +187,9 @@ func TestSessionStoreWarmRestartAfterEdit(t *testing.T) {
 }
 
 // TestSessionStoreCorruption covers the crash-safety contract end to end:
-// a truncated or bit-flipped store log is detected, the affected artifacts
-// rebuild from source, and reports never differ from a cold build.
+// a truncated or bit-flipped record file is detected, the affected
+// artifacts rebuild from source, and reports never differ from a cold
+// build.
 func TestSessionStoreCorruption(t *testing.T) {
 	gen := workload.Generate(workload.Subjects[2], workload.GenOptions{Scale: 140, Taint: true})
 	specs := checkers.All()
@@ -200,7 +204,7 @@ func TestSessionStoreCorruption(t *testing.T) {
 
 	corrupt := func(t *testing.T, name string, mutate func(t *testing.T, path string)) {
 		dir := t.TempDir()
-		st1 := openDisk(t, dir, 0)
+		st1 := openDisk(t, dir)
 		s1 := core.NewSession(core.BuildOptions{Store: st1})
 		if _, err := s1.Update(gen.Units); err != nil {
 			t.Fatal(err)
@@ -208,9 +212,15 @@ func TestSessionStoreCorruption(t *testing.T) {
 		if err := st1.Close(); err != nil {
 			t.Fatal(err)
 		}
-		mutate(t, store.LogPath(dir))
+		recs, err := filepath.Glob(filepath.Join(dir, "*.rec"))
+		if err != nil || len(recs) == 0 {
+			t.Fatalf("%s: no record files written (err %v)", name, err)
+		}
+		for _, path := range recs {
+			mutate(t, path)
+		}
 
-		st2 := openDisk(t, dir, 0)
+		st2 := openDisk(t, dir)
 		defer st2.Close()
 		s2 := core.NewSession(core.BuildOptions{Store: st2})
 		a2, err := s2.Update(gen.Units)
@@ -285,7 +295,7 @@ func TestSessionStoreRestartAfterFirewall(t *testing.T) {
 		edited := tc.units(`void w(int *p) { int t = *p; *p = t + 1; }`)
 		dir := t.TempDir()
 
-		st1 := openDisk(t, dir, 0)
+		st1 := openDisk(t, dir)
 		s1 := core.NewSession(core.BuildOptions{Store: st1})
 		a1, err := s1.Update(tc.units(`void w(int *p) { *p = 1; }`))
 		if err != nil {
@@ -311,7 +321,7 @@ func TestSessionStoreRestartAfterFirewall(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		st2 := openDisk(t, dir, 0)
+		st2 := openDisk(t, dir)
 		s2 := core.NewSession(core.BuildOptions{Store: st2})
 		a2, err := s2.Update(edited)
 		if err != nil {
@@ -349,7 +359,7 @@ func TestSessionStoreOldCodecVersion(t *testing.T) {
 
 	// Populate the store, then rewrite the full segment's version field:
 	// "ppsg" is followed by the version as a zig-zag varint (4 → 8, 3 → 6).
-	st := openDisk(t, dir, 0)
+	st := openDisk(t, dir)
 	if _, err := core.NewSession(core.BuildOptions{Store: st}).Update(gen.Units); err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +377,7 @@ func TestSessionStoreOldCodecVersion(t *testing.T) {
 	}
 
 	for round, wantHits := range []bool{false, true} {
-		st := openDisk(t, dir, 0)
+		st := openDisk(t, dir)
 		s := core.NewSession(core.BuildOptions{Store: st})
 		a, err := s.Update(gen.Units)
 		if err != nil {
@@ -386,6 +396,83 @@ func TestSessionStoreOldCodecVersion(t *testing.T) {
 		}
 		if err := st.Close(); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// writeParentLog writes a store.log in the layout earlier versions used
+// (one append-only log of every record: an 8-byte header, then per record
+// u32 nsLen | u32 keyLen | u32 valLen | ns | key | val | u32 crc32).
+func writeParentLog(t *testing.T, dir string, recs map[string][]byte) {
+	t.Helper()
+	log := []byte("PPSTOR\x00\x01")
+	for key, val := range recs {
+		payload := append(append([]byte(store.NSArtifact), key...), val...)
+		log = binary.LittleEndian.AppendUint32(log, uint32(len(store.NSArtifact)))
+		log = binary.LittleEndian.AppendUint32(log, uint32(len(key)))
+		log = binary.LittleEndian.AppendUint32(log, uint32(len(val)))
+		log = append(log, payload...)
+		log = binary.LittleEndian.AppendUint32(log, crc32.ChecksumIEEE(payload))
+	}
+	if err := os.WriteFile(filepath.Join(dir, "store.log"), log, 0o666); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSessionStoreParentLog restarts on a directory that holds only a
+// store.log written by an earlier version, holding current-version
+// segments. The log is ignored and left in place: the first restart
+// rebuilds every function with reports identical to a cold build, and the
+// next restart loads everything from record files.
+func TestSessionStoreParentLog(t *testing.T) {
+	gen := workload.Generate(workload.Subjects[2], workload.GenOptions{Scale: 40, Taint: true})
+	specs := checkers.All()
+	dopts := detect.Options{Workers: 1}
+	coldA, err := core.NewSession(core.BuildOptions{}).Update(gen.Units)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coldB := reportsJSON(t, normalizeResults(coldA.CheckAll(specs, dopts)).Reports)
+
+	// Capture the segments a current session writes, in the parent layout.
+	scratch := t.TempDir()
+	st := openDisk(t, scratch)
+	if _, err := core.NewSession(core.BuildOptions{Store: st}).Update(gen.Units); err != nil {
+		t.Fatal(err)
+	}
+	full, ok, err := st.Get(store.NSArtifact, "!full")
+	if err != nil || !ok {
+		t.Fatalf("full segment: ok=%v err=%v", ok, err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	writeParentLog(t, dir, map[string][]byte{"!full": full})
+
+	for round, wantHits := range []bool{false, true} {
+		st := openDisk(t, dir)
+		s := core.NewSession(core.BuildOptions{Store: st})
+		a, err := s.Update(gen.Units)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stats := s.ArtifactStats()
+		if wantHits && (stats.StoreHits != a.Sizes.Functions || stats.Misses != 0) {
+			t.Fatalf("round %d: stats %+v, want every function store-loaded", round, stats)
+		}
+		if !wantHits && (stats.StoreHits != 0 || stats.Misses != a.Sizes.Functions) {
+			t.Fatalf("round %d: stats %+v, want every function rebuilt", round, stats)
+		}
+		got := reportsJSON(t, normalizeResults(a.CheckAll(specs, dopts)).Reports)
+		if !bytes.Equal(got, coldB) {
+			t.Fatalf("round %d: reports differ from cold\ngot: %s\nwant: %s", round, got, coldB)
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := os.Stat(filepath.Join(dir, "store.log")); err != nil {
+			t.Fatalf("round %d: the earlier version's log was touched: %v", round, err)
 		}
 	}
 }

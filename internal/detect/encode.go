@@ -37,7 +37,7 @@ func (e *Engine) checkCandidate(c *candidate) smt.Result {
 		tb:     s.TB,
 		ddDone: make(map[ddKey]bool),
 		cdDone: make(map[cdKey]bool),
-		budget: e.opts.SMTBudget,
+		budget: smtBudget,
 		instFn: make(map[int]*ir.Func),
 		atoms:  make(map[string]atomOrigin),
 	}

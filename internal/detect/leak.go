@@ -264,7 +264,7 @@ func (lc *leakChecker) checkAlloc(f *ir.Func, g *seg.Graph, alloc *ir.Instr, sta
 		tb:     s.TB,
 		ddDone: make(map[ddKey]bool),
 		cdDone: make(map[cdKey]bool),
-		budget: lc.opts.SMTBudget,
+		budget: smtBudget,
 		instFn: map[int]*ir.Func{0: f},
 		atoms:  make(map[string]atomOrigin),
 	}

@@ -132,22 +132,27 @@ func NewProgramFrom(prev *Program, m *ir.Module, infos map[*ir.Func]*ssa.Info, s
 	return p
 }
 
+// Search bounds. The reports depend on them, so they are constants, not
+// Options.
+const (
+	// maxExpansions bounds search work per source.
+	maxExpansions = 8000
+	// maxCandidates bounds candidate paths per source.
+	maxCandidates = 128
+	// maxCallers bounds call sites enumerated per ascent.
+	maxCallers = 8
+	// smtBudget bounds DD constraints emitted per query.
+	smtBudget = 500
+)
+
 // Options tunes the engine. The zero value selects paper-like defaults.
 type Options struct {
 	// MaxCallDepth bounds the number of function instances on one path
 	// (the paper uses six nested levels).
 	MaxCallDepth int
-	// MaxExpansions bounds search work per source.
-	MaxExpansions int
-	// MaxCandidates bounds candidate paths per source.
-	MaxCandidates int
-	// MaxCallers bounds call sites enumerated per ascent.
-	MaxCallers int
 	// DisablePathSensitivity skips the SMT feasibility check and reports
 	// every candidate (the path-sensitivity ablation).
 	DisablePathSensitivity bool
-	// SMTBudget bounds DD constraints emitted per query.
-	SMTBudget int
 	// MaxReportsPerChecker stops after this many reports (0 = unlimited).
 	MaxReportsPerChecker int
 	// SameUnitOnly confines the search to one compilation unit (the
@@ -193,18 +198,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.MaxCallDepth == 0 {
 		o.MaxCallDepth = 6
-	}
-	if o.MaxExpansions == 0 {
-		o.MaxExpansions = 8000
-	}
-	if o.MaxCandidates == 0 {
-		o.MaxCandidates = 128
-	}
-	if o.MaxCallers == 0 {
-		o.MaxCallers = 8
-	}
-	if o.SMTBudget == 0 {
-		o.SMTBudget = 500
 	}
 	return o
 }

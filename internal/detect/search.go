@@ -291,7 +291,7 @@ func (e *Engine) objectRoots(g *seg.Graph, v *ir.Value) []*ir.Value {
 
 // explore expands all local flows from a vertex within a frame.
 func (e *Engine) explore(fr *frame, node *seg.Node, sourceAt *ir.Instr, sourceFn *ir.Func, p pathState) {
-	if e.expansions >= e.opts.MaxExpansions || e.candidates >= e.opts.MaxCandidates {
+	if e.expansions >= maxExpansions || e.candidates >= maxCandidates {
 		e.stats.TruncatedSearches++
 		return
 	}
@@ -418,7 +418,7 @@ func (e *Engine) throughReturn(fr *frame, term *seg.Node, sourceAt *ir.Instr, so
 	// the value.
 	sites := e.prog.Callers[fr.fn]
 	for i, cs := range sites {
-		if i >= e.opts.MaxCallers {
+		if i >= maxCallers {
 			e.stats.TruncatedSearches++
 			break
 		}
@@ -463,7 +463,7 @@ func (e *Engine) ascendViaParam(fr *frame, node *seg.Node, sourceAt *ir.Instr, s
 	idx := node.Val.ParamIdx
 	sites := e.prog.Callers[fr.fn]
 	for i, cs := range sites {
-		if i >= e.opts.MaxCallers || fr.depth >= e.opts.MaxCallDepth {
+		if i >= maxCallers || fr.depth >= e.opts.MaxCallDepth {
 			e.stats.TruncatedSearches++
 			break
 		}

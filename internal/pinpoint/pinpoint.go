@@ -45,14 +45,11 @@ type Config struct {
 	Obs *obs.Recorder
 
 	// StoreDir, when non-empty, persists per-function artifacts in a
-	// DiskStore under this directory: a restarted process pointed at the
-	// same directory warm-loads instead of rebuilding. SMT verdicts are
-	// not persisted. Empty keeps the historical in-memory-only behavior.
+	// DiskStore under this directory, one record file per segment: a
+	// restarted process pointed at the same directory warm-loads instead
+	// of rebuilding. SMT verdicts are not persisted. Empty keeps the
+	// artifacts in memory only.
 	StoreDir string
-	// StoreMaxBytes bounds the DiskStore's in-memory residency layer
-	// (decoded-record cache). 0 selects the store default; negative
-	// disables the bound.
-	StoreMaxBytes int64
 	// Store overrides StoreDir with an already-open store. The caller
 	// keeps ownership: Runtime.Close does not close it.
 	Store store.Store
@@ -114,10 +111,7 @@ type Runtime struct {
 func Open(cfg Config) (*Runtime, error) {
 	rt := &Runtime{cfg: cfg, st: cfg.Store}
 	if rt.st == nil && cfg.StoreDir != "" {
-		st, err := store.Open(cfg.StoreDir, store.DiskOptions{
-			MaxResidentBytes: cfg.StoreMaxBytes,
-			Obs:              cfg.Obs,
-		})
+		st, err := store.Open(cfg.StoreDir, store.DiskOptions{Obs: cfg.Obs})
 		if err != nil {
 			return nil, err
 		}

@@ -50,8 +50,8 @@ func (s *Server) handleDebugTenants(w http.ResponseWriter, r *http.Request) {
 }
 
 // storeDebug is the GET /v1/debug/store schema: whether a persistent
-// store backs the session, its residency and on-disk occupancy, and the
-// last compaction. Counters are cumulative since the store was opened.
+// store backs the session, its traffic counters (cumulative since the
+// store was opened) and its on-disk occupancy.
 type storeDebug struct {
 	// Persistent is false when the server runs memory-only (no -store-dir);
 	// every other field is zero then.
@@ -64,7 +64,7 @@ type storeDebug struct {
 
 func (s *Server) handleDebugStore(w http.ResponseWriter, r *http.Request) {
 	var d storeDebug
-	if st := s.cfg.Store; st != nil && st.Persistent() {
+	if st := s.cfg.Store; st != nil {
 		d.Persistent = true
 		d.Stats = st.Stat()
 		s.tenants.View(store.DefaultProject, func(sess *core.Session) {

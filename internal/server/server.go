@@ -63,14 +63,14 @@ type Config struct {
 	// Rec is the process-wide metrics recorder backing /v1/metrics. Nil
 	// means a fresh non-tracing recorder.
 	Rec *obs.Recorder
-	// Store, when non-nil and persistent, backs the sessions' per-function
+	// Store, when non-nil, backs the sessions' per-function
 	// artifacts (see internal/store): a restarted server pointed at the
 	// same store directory warm-loads instead of cold building. SMT
 	// verdicts stay in each session's memory. Non-default tenants get a
 	// per-project namespaced view of this store (store.Namespaced), so one
 	// physical store serves every project without key collisions. The
 	// caller owns the store and closes it after Serve returns. Nil keeps
-	// the historical in-memory-only behavior.
+	// the artifacts in memory only.
 	Store store.Store
 	// MaxTenants caps concurrently resident per-project sessions
 	// (tenant.Config.MaxResident semantics: 0 = 64, negative = unlimited).

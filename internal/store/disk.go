@@ -1,477 +1,222 @@
 package store
 
 import (
-	"bufio"
-	"container/list"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
+	"strings"
 	"sync"
-	"time"
 
 	"repro/internal/obs"
 )
 
-// Log format. The file starts with an 8-byte magic+version header; each
-// record is length-prefixed and carries a CRC32 over its payload:
+// Record files. Every record is one file in the store directory, named by
+// the hex encoding of ns+"\x00"+key plus ".rec", so no namespace or key
+// (tenant IDs may be "." or "..") can name a path outside the directory.
+// The file holds a magic and one checksummed record:
 //
-//	header : "PPSTOR\x00\x01"
+//	magic  : "PPREC\x00\x00\x01"
 //	record : u32 nsLen | u32 keyLen | u32 valLen | ns | key | val | u32 crc
 //
 // All integers are little-endian; crc is crc32.ChecksumIEEE(ns|key|val).
-// The log is append-only: a Put for an existing key appends a superseding
-// record, and the in-memory index keeps only the latest offset per key.
-// Compact rewrites the live records into a temp file and renames it over
-// the log, so readers either see the old complete log or the new one.
+// Put writes a temp file in the directory and renames it over the record's
+// name, so a reader sees the old record or the new one, and the rename
+// reclaims the superseded record: the directory holds one file per live
+// key. Put does not fsync; Close fsyncs the files written since Open and
+// the directory.
 //
-// Crash safety: records are framed and checksummed, so a torn append (or
-// any trailing garbage) is detected at open and the log is truncated back
-// to its last intact record. A checksum mismatch in the middle of the log
-// invalidates the framing of everything after it; scanning stops there and
-// the tail is dropped the same way. Dropped records are re-derived by the
-// analysis (artifacts rebuild) — corruption can cost
-// warmth, never correctness.
-var diskMagic = [8]byte{'P', 'P', 'S', 'T', 'O', 'R', 0, 1}
+// Crash safety: a record torn by a crash before Close, or damaged later,
+// fails its framing, key or CRC check on Get. The file is removed,
+// counted in Stats.CorruptRecords, and the Get reads as a miss; no other
+// record is affected. Dropped records are re-derived by the analysis —
+// corruption can cost warmth, never correctness.
+var recMagic = [8]byte{'P', 'P', 'R', 'E', 'C', 0, 0, 1}
 
-const recHeaderLen = 12 // three u32 lengths
-const maxRecLen = 1 << 30
+const (
+	recExt       = ".rec"
+	recHeaderLen = len(recMagic) + 12 // magic and three u32 lengths
+)
 
 // DiskOptions configures a DiskStore.
 type DiskOptions struct {
-	// MaxResidentBytes bounds the in-memory residency layer (the LRU
-	// cache of record bytes served without touching the file). 0 means
-	// the default of 256 MiB; negative means unbounded.
-	MaxResidentBytes int64
 	// Obs, when non-nil, receives store.* counters and gauges.
 	Obs *obs.Recorder
 }
 
-const defaultMaxResidentBytes = 256 << 20
-
-// DiskStore is the persistent Store: an append-only checksummed log with
-// read-on-demand loading and a size-bounded residency layer.
+// DiskStore is the persistent Store: one checksummed file per record.
 type DiskStore struct {
 	dir string
 	rec *obs.Recorder
 
 	mu      sync.Mutex
-	f       *os.File
-	size    int64 // committed file size (append offset)
-	index   map[string]indexEntry
-	res     map[string]*list.Element // residency: key -> LRU element
-	lru     *list.List               // front = most recent; values are *resEntry
-	resSize int64
-	maxRes  int64
+	written map[string]bool // record paths written since Open, for Close's fsync
 	stats   Stats
 	closed  bool
 }
 
-type indexEntry struct {
-	off    int64 // offset of the record header
-	nsLen  int
-	keyLen int
-	valLen int
-	crc    uint32
-}
-
-type resEntry struct {
-	key string
-	val []byte
-}
-
-// LogPath returns the path of the store's backing log inside dir.
-func LogPath(dir string) string { return filepath.Join(dir, "store.log") }
-
-// Open opens (creating if needed) the disk store rooted at dir. The log is
-// scanned to rebuild the index; a corrupt or torn tail is truncated away
-// (counted in Stats.CorruptRecords) so the store always opens usable.
+// Open opens (creating if needed) the disk store rooted at dir. Nothing is
+// read at open; temp files a crash left behind mid-Put are removed.
 func Open(dir string, opts DiskOptions) (*DiskStore, error) {
 	if err := os.MkdirAll(dir, 0o777); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	maxRes := opts.MaxResidentBytes
-	switch {
-	case maxRes == 0:
-		maxRes = defaultMaxResidentBytes
-	case maxRes < 0:
-		maxRes = 0 // unbounded
+	// Glob fails only on a malformed pattern; a temp file that cannot be
+	// removed is dead space, never read.
+	tmps, _ := filepath.Glob(filepath.Join(dir, "put-*.tmp"))
+	for _, p := range tmps {
+		os.Remove(p)
 	}
-	s := &DiskStore{
-		dir:    dir,
-		rec:    opts.Obs,
-		index:  make(map[string]indexEntry),
-		res:    make(map[string]*list.Element),
-		lru:    list.New(),
-		maxRes: maxRes,
-	}
-	s.stats.MaxResidentBytes = maxRes
-	if err := s.openAndScan(); err != nil {
-		return nil, err
-	}
-	s.publish()
-	return s, nil
+	return &DiskStore{dir: dir, rec: opts.Obs, written: make(map[string]bool)}, nil
 }
 
-func (s *DiskStore) openAndScan() error {
-	path := LogPath(s.dir)
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o666)
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	fi, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return fmt.Errorf("store: %w", err)
-	}
-	if fi.Size() == 0 {
-		if _, err := f.Write(diskMagic[:]); err != nil {
-			f.Close()
-			return fmt.Errorf("store: writing header: %w", err)
-		}
-		s.f, s.size = f, int64(len(diskMagic))
-		return nil
-	}
-	var hdr [8]byte
-	if _, err := io.ReadFull(f, hdr[:]); err != nil || hdr != diskMagic {
-		f.Close()
-		return fmt.Errorf("store: %s is not a pinpoint store log (bad header)", path)
-	}
-	// Scan records, remembering the end of the last intact one.
-	good := int64(len(diskMagic))
-	var lenBuf [recHeaderLen]byte
-	buf := make([]byte, 0, 4096)
-	for {
-		if _, err := io.ReadFull(f, lenBuf[:]); err != nil {
-			if err != io.EOF && err != io.ErrUnexpectedEOF {
-				f.Close()
-				return fmt.Errorf("store: scanning %s: %w", path, err)
-			}
-			if err == io.ErrUnexpectedEOF {
-				s.stats.CorruptRecords++
-			}
-			break
-		}
-		nsLen := int(binary.LittleEndian.Uint32(lenBuf[0:4]))
-		keyLen := int(binary.LittleEndian.Uint32(lenBuf[4:8]))
-		valLen := int(binary.LittleEndian.Uint32(lenBuf[8:12]))
-		if nsLen <= 0 || keyLen <= 0 || valLen < 0 ||
-			nsLen > maxRecLen || keyLen > maxRecLen || valLen > maxRecLen {
-			s.stats.CorruptRecords++
-			break
-		}
-		payload := nsLen + keyLen + valLen
-		if cap(buf) < payload+4 {
-			buf = make([]byte, payload+4)
-		}
-		buf = buf[:payload+4]
-		if _, err := io.ReadFull(f, buf); err != nil {
-			s.stats.CorruptRecords++
-			break
-		}
-		crc := binary.LittleEndian.Uint32(buf[payload:])
-		if crc32.ChecksumIEEE(buf[:payload]) != crc {
-			s.stats.CorruptRecords++
-			break
-		}
-		ns := string(buf[:nsLen])
-		key := string(buf[nsLen : nsLen+keyLen])
-		k := memKey(ns, key)
-		if _, ok := s.index[k]; !ok {
-			s.stats.Records++
-		}
-		s.index[k] = indexEntry{off: good, nsLen: nsLen, keyLen: keyLen, valLen: valLen, crc: crc}
-		good += int64(recHeaderLen + payload + 4)
-	}
-	// Drop any torn/corrupt tail so future appends extend an intact log.
-	fi, err = f.Stat()
-	if err == nil && fi.Size() > good {
-		if err := f.Truncate(good); err != nil {
-			f.Close()
-			return fmt.Errorf("store: truncating corrupt tail of %s: %w", path, err)
-		}
-	}
-	if _, err := f.Seek(good, io.SeekStart); err != nil {
-		f.Close()
-		return fmt.Errorf("store: %w", err)
-	}
-	s.f, s.size = f, good
-	return nil
+func (s *DiskStore) path(ns, key string) string {
+	return filepath.Join(s.dir, hex.EncodeToString([]byte(ns+"\x00"+key))+recExt)
 }
 
-// Persistent implements Store.
-func (s *DiskStore) Persistent() bool { return true }
-
-// Dir returns the store's root directory.
-func (s *DiskStore) Dir() string { return s.dir }
-
-// Get implements Store: residency layer first, then a read-on-demand load
-// from the log with checksum verification. A record failing its checksum
-// is dropped from the index and reported as a miss, so callers fall back
-// to rebuilding — corrupted state can never produce wrong output.
-func (s *DiskStore) Get(ns, key string) ([]byte, bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil, false, errors.New("store: closed")
-	}
-	k := memKey(ns, key)
-	if el, ok := s.res[k]; ok {
-		s.lru.MoveToFront(el)
-		s.stats.Hits++
-		s.count("store.hits")
-		return el.Value.(*resEntry).val, true, nil
-	}
-	ent, ok := s.index[k]
-	if !ok {
-		s.stats.Misses++
-		s.count("store.misses")
-		return nil, false, nil
-	}
-	val, err := s.readRecordLocked(ns, key, ent)
-	if err != nil {
-		// Checksum/framing failure: forget the record and miss.
-		delete(s.index, k)
-		s.stats.Records--
-		s.stats.CorruptRecords++
-		s.stats.Misses++
-		s.count("store.corrupt_records")
-		s.count("store.misses")
-		s.publish()
-		return nil, false, nil
-	}
-	s.stats.Hits++
-	s.count("store.hits")
-	s.admitLocked(k, val)
-	return val, true, nil
-}
-
-func (s *DiskStore) readRecordLocked(ns, key string, ent indexEntry) ([]byte, error) {
-	payload := ent.nsLen + ent.keyLen + ent.valLen
-	buf := make([]byte, recHeaderLen+payload+4)
-	if _, err := s.f.ReadAt(buf, ent.off); err != nil {
-		return nil, err
-	}
-	if int(binary.LittleEndian.Uint32(buf[0:4])) != ent.nsLen ||
-		int(binary.LittleEndian.Uint32(buf[4:8])) != ent.keyLen ||
-		int(binary.LittleEndian.Uint32(buf[8:12])) != ent.valLen {
-		return nil, errors.New("store: record framing mismatch")
-	}
-	body := buf[recHeaderLen : recHeaderLen+payload]
-	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(buf[recHeaderLen+payload:]) {
-		return nil, errors.New("store: record checksum mismatch")
-	}
-	if string(body[:ent.nsLen]) != ns || string(body[ent.nsLen:ent.nsLen+ent.keyLen]) != key {
-		return nil, errors.New("store: record key mismatch")
-	}
-	val := make([]byte, ent.valLen)
-	copy(val, body[ent.nsLen+ent.keyLen:])
-	return val, nil
-}
-
-// Put implements Store. Identical re-puts are deduplicated without any
-// I/O beyond a checksum; new or changed content is appended.
-func (s *DiskStore) Put(ns, key string, val []byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return errors.New("store: closed")
-	}
-	k := memKey(ns, key)
-	crc := crc32.ChecksumIEEE(joinPayload(ns, key, val))
-	if ent, ok := s.index[k]; ok && ent.valLen == len(val) && ent.crc == crc {
-		s.stats.DedupedPuts++
-		return nil
-	}
-	off, err := s.appendLocked(ns, key, val, crc)
-	if err != nil {
-		return err
-	}
-	if _, ok := s.index[k]; !ok {
-		s.stats.Records++
-	}
-	s.index[k] = indexEntry{off: off, nsLen: len(ns), keyLen: len(key), valLen: len(val), crc: crc}
-	s.stats.Puts++
-	s.count("store.puts")
-	cp := make([]byte, len(val))
-	copy(cp, val)
-	s.admitLocked(k, cp)
-	s.publish()
-	return nil
-}
-
-func joinPayload(ns, key string, val []byte) []byte {
-	out := make([]byte, 0, len(ns)+len(key)+len(val))
+// encodeRecord frames val under (ns, key) as a record file's bytes.
+func encodeRecord(ns, key string, val []byte) []byte {
+	payload := len(ns) + len(key) + len(val)
+	out := make([]byte, recHeaderLen, recHeaderLen+payload+4)
+	copy(out, recMagic[:])
+	binary.LittleEndian.PutUint32(out[8:], uint32(len(ns)))
+	binary.LittleEndian.PutUint32(out[12:], uint32(len(key)))
+	binary.LittleEndian.PutUint32(out[16:], uint32(len(val)))
 	out = append(out, ns...)
 	out = append(out, key...)
 	out = append(out, val...)
-	return out
+	return binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(out[recHeaderLen:]))
 }
 
-func (s *DiskStore) appendLocked(ns, key string, val []byte, crc uint32) (int64, error) {
-	off := s.size
-	var hdr [recHeaderLen]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(ns)))
-	binary.LittleEndian.PutUint32(hdr[4:8], uint32(len(key)))
-	binary.LittleEndian.PutUint32(hdr[8:12], uint32(len(val)))
-	var tail [4]byte
-	binary.LittleEndian.PutUint32(tail[:], crc)
-	for _, chunk := range [][]byte{hdr[:], []byte(ns), []byte(key), val, tail[:]} {
-		if _, err := s.f.Write(chunk); err != nil {
-			// The log may now hold a torn record; the next open truncates
-			// it. Keep size pointing at the last intact boundary.
-			if _, serr := s.f.Seek(off, io.SeekStart); serr == nil {
-				_ = s.f.Truncate(off)
-			}
-			return 0, fmt.Errorf("store: append: %w", err)
-		}
+// decodeRecord validates a record file's bytes against (ns, key) and
+// returns its value. The lengths must frame the file exactly.
+func decodeRecord(data []byte, ns, key string) ([]byte, error) {
+	if len(data) < recHeaderLen+4 || [8]byte(data[:8]) != recMagic {
+		return nil, errors.New("store: bad record header")
 	}
-	s.size = off + int64(recHeaderLen+len(ns)+len(key)+len(val)+4)
-	return off, nil
+	nsLen := uint64(binary.LittleEndian.Uint32(data[8:]))
+	keyLen := uint64(binary.LittleEndian.Uint32(data[12:]))
+	valLen := uint64(binary.LittleEndian.Uint32(data[16:]))
+	if nsLen != uint64(len(ns)) || keyLen != uint64(len(key)) ||
+		uint64(recHeaderLen)+nsLen+keyLen+valLen+4 != uint64(len(data)) {
+		return nil, errors.New("store: record framing mismatch")
+	}
+	body := data[recHeaderLen : len(data)-4]
+	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(data[len(data)-4:]) {
+		return nil, errors.New("store: record checksum mismatch")
+	}
+	if string(body[:nsLen]) != ns || string(body[nsLen:nsLen+keyLen]) != key {
+		return nil, errors.New("store: record key mismatch")
+	}
+	return body[nsLen+keyLen:], nil
 }
 
-// admitLocked inserts val into the residency layer, evicting LRU entries
-// until the footprint fits the bound.
-func (s *DiskStore) admitLocked(k string, val []byte) {
-	if el, ok := s.res[k]; ok {
-		s.resSize -= int64(len(el.Value.(*resEntry).val))
-		el.Value.(*resEntry).val = val
-		s.resSize += int64(len(val))
-		s.lru.MoveToFront(el)
-	} else {
-		if s.maxRes > 0 && int64(len(val)) > s.maxRes {
-			// Larger than the whole budget: serve it but never cache it.
-			s.stats.ResidentBytes = s.resSize
-			return
-		}
-		s.res[k] = s.lru.PushFront(&resEntry{key: k, val: val})
-		s.resSize += int64(len(val))
+// Get implements Store. A record failing validation is removed and
+// reported as a miss, so callers fall back to rebuilding — corrupted
+// state can never produce wrong output.
+func (s *DiskStore) Get(ns, key string) ([]byte, bool, error) {
+	if s.isClosed() {
+		return nil, false, errors.New("store: closed")
 	}
-	if s.maxRes > 0 {
-		for s.resSize > s.maxRes && s.lru.Len() > 0 {
-			el := s.lru.Back()
-			ent := el.Value.(*resEntry)
-			s.lru.Remove(el)
-			delete(s.res, ent.key)
-			s.resSize -= int64(len(ent.val))
-			s.stats.Evictions++
-			s.count("store.evictions")
-		}
+	path := s.path(ns, key)
+	f, err := os.Open(path)
+	if errors.Is(err, os.ErrNotExist) {
+		s.tally(&s.stats.Misses, "store.misses")
+		return nil, false, nil
 	}
-	s.stats.ResidentBytes = s.resSize
-}
-
-// Stat implements Store.
-func (s *DiskStore) Stat() Stats {
+	if err != nil {
+		return nil, false, fmt.Errorf("store: %w", err)
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, false, fmt.Errorf("store: %w", err)
+	}
+	data, err := io.ReadAll(f)
+	if err != nil {
+		return nil, false, fmt.Errorf("store: %w", err)
+	}
+	val, err := decodeRecord(data, ns, key)
+	if err == nil {
+		s.tally(&s.stats.Hits, "store.hits")
+		return val, true, nil
+	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	st := s.stats
-	st.ResidentBytes = s.resSize
-	st.DiskBytes = s.size
-	return st
+	// Remove the file only if no Put renamed a new record over it since
+	// it was opened. A file that cannot be removed reads as corrupt again.
+	if cur, err := os.Stat(path); err == nil && os.SameFile(fi, cur) {
+		os.Remove(path)
+	}
+	s.stats.CorruptRecords++
+	s.stats.Misses++
+	s.mu.Unlock()
+	s.count("store.corrupt_records")
+	s.count("store.misses")
+	return nil, false, nil
 }
 
-// Compact implements Store: the live records are rewritten (in sorted key
-// order, for deterministic output) into store.log.tmp, fsynced, and
-// renamed over the log — an interrupted compaction leaves the old log
-// untouched.
-func (s *DiskStore) Compact() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
+// Put implements Store: the record is written to a temp file and renamed
+// over (ns, key)'s file, replacing any earlier record for the key.
+func (s *DiskStore) Put(ns, key string, val []byte) error {
+	if s.isClosed() {
 		return errors.New("store: closed")
 	}
-	keys := make([]string, 0, len(s.index))
-	for k := range s.index {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-
-	tmpPath := LogPath(s.dir) + ".tmp"
-	tmp, err := os.OpenFile(tmpPath, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o666)
+	tmp, err := os.CreateTemp(s.dir, "put-*.tmp")
 	if err != nil {
-		return fmt.Errorf("store: compact: %w", err)
+		return fmt.Errorf("store: %w", err)
 	}
-	defer os.Remove(tmpPath) // no-op after the rename succeeds
-	w := bufio.NewWriter(tmp)
-	if _, err := w.Write(diskMagic[:]); err != nil {
-		tmp.Close()
-		return fmt.Errorf("store: compact: %w", err)
+	_, err = tmp.Write(encodeRecord(ns, key, val))
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	newIndex := make(map[string]indexEntry, len(s.index))
-	off := int64(len(diskMagic))
-	var hdr [recHeaderLen]byte
-	var tail [4]byte
-	for _, k := range keys {
-		ent := s.index[k]
-		ns, key, _ := splitKey(k)
-		val, err := s.readRecordLocked(ns, key, ent)
-		if err != nil {
-			// Unreadable record: drop it from the compacted log.
-			s.stats.CorruptRecords++
-			s.stats.Records--
-			s.count("store.corrupt_records")
-			continue
-		}
-		binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(ns)))
-		binary.LittleEndian.PutUint32(hdr[4:8], uint32(len(key)))
-		binary.LittleEndian.PutUint32(hdr[8:12], uint32(len(val)))
-		binary.LittleEndian.PutUint32(tail[:], ent.crc)
-		for _, chunk := range [][]byte{hdr[:], []byte(ns), []byte(key), val, tail[:]} {
-			if _, err := w.Write(chunk); err != nil {
-				tmp.Close()
-				return fmt.Errorf("store: compact: %w", err)
-			}
-		}
-		newIndex[k] = indexEntry{off: off, nsLen: len(ns), keyLen: len(key), valLen: len(val), crc: ent.crc}
-		off += int64(recHeaderLen + len(ns) + len(key) + len(val) + 4)
+	path := s.path(ns, key)
+	s.mu.Lock()
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
 	}
-	if err := w.Flush(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("store: compact: %w", err)
+	if err == nil {
+		s.written[path] = true
+		s.stats.Puts++
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("store: compact: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("store: compact: %w", err)
-	}
-	if err := os.Rename(tmpPath, LogPath(s.dir)); err != nil {
-		return fmt.Errorf("store: compact: %w", err)
-	}
-	old := s.f
-	f, err := os.OpenFile(LogPath(s.dir), os.O_RDWR, 0o666)
+	s.mu.Unlock()
 	if err != nil {
-		return fmt.Errorf("store: compact: reopening log: %w", err)
+		os.Remove(tmp.Name())
+		return fmt.Errorf("store: put: %w", err)
 	}
-	if _, err := f.Seek(off, io.SeekStart); err != nil {
-		f.Close()
-		return fmt.Errorf("store: compact: %w", err)
-	}
-	old.Close()
-	s.f, s.size, s.index = f, off, newIndex
-	s.stats.Compactions++
-	s.stats.LastCompactUnixNano = time.Now().UnixNano()
-	s.count("store.compactions")
-	s.publish()
+	s.count("store.puts")
 	return nil
 }
 
-func splitKey(k string) (ns, key string, ok bool) {
-	for i := 0; i < len(k); i++ {
-		if k[i] == 0 {
-			return k[:i], k[i+1:], true
+// Stat implements Store. Records and DiskBytes come from a listing of the
+// directory's record files (zero if it cannot be read), and are published
+// as the store.records and store.disk_bytes gauges.
+func (s *DiskStore) Stat() Stats {
+	s.mu.Lock()
+	st := s.stats
+	s.mu.Unlock()
+	entries, _ := os.ReadDir(s.dir)
+	for _, e := range entries {
+		if !strings.HasSuffix(e.Name(), recExt) {
+			continue
+		}
+		if fi, err := e.Info(); err == nil {
+			st.Records++
+			st.DiskBytes += fi.Size()
 		}
 	}
-	return "", "", false
+	if s.rec != nil {
+		s.rec.Gauge("store.records").Set(int64(st.Records))
+		s.rec.Gauge("store.disk_bytes").Set(st.DiskBytes)
+	}
+	return st
 }
 
-// Close implements Store: flushes and fsyncs the log.
+// Close implements Store: fsyncs the record files written since Open and
+// the directory, so every acknowledged Put survives a crash after Close.
 func (s *DiskStore) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -479,26 +224,46 @@ func (s *DiskStore) Close() error {
 		return nil
 	}
 	s.closed = true
-	serr := s.f.Sync()
-	cerr := s.f.Close()
-	if serr != nil {
-		return serr
+	var first error
+	for path := range s.written {
+		if err := syncPath(path); err != nil && !errors.Is(err, os.ErrNotExist) && first == nil {
+			first = err
+		}
 	}
-	return cerr
+	if err := syncPath(s.dir); err != nil && first == nil {
+		first = err
+	}
+	return first
+}
+
+func syncPath(path string) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	err = f.Sync()
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+func (s *DiskStore) isClosed() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.closed
+}
+
+// tally increments a Stats counter and its store.* counter.
+func (s *DiskStore) tally(field *int64, name string) {
+	s.mu.Lock()
+	*field++
+	s.mu.Unlock()
+	s.count(name)
 }
 
 func (s *DiskStore) count(name string) {
 	if s.rec != nil {
 		s.rec.Counter(name).Inc()
 	}
-}
-
-func (s *DiskStore) publish() {
-	if s.rec == nil {
-		return
-	}
-	st := s.stats
-	st.ResidentBytes = s.resSize
-	st.DiskBytes = s.size
-	publish(s.rec, st)
 }

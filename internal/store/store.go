@@ -1,34 +1,22 @@
-// Package store provides the pluggable persistence layer behind the
-// incremental session's per-function artifacts.
+// Package store provides the persistence layer behind the incremental
+// session's per-function artifacts.
 //
-// A Store is a flat content-addressed map: namespaced string keys to opaque
-// byte records. Callers derive keys from content fingerprints (AST hashes,
-// dependency fingerprints), so records never
-// need in-place updates — a key either names exactly the bytes it was
-// written with, or a newer record for the same key supersedes the old one
-// (last writer wins, reclaimed by Compact).
+// A Store is a flat map from namespaced string keys to opaque byte
+// records; a Put for an existing key supersedes the old record (last
+// writer wins). The one implementation, DiskStore, keeps each record in
+// its own checksummed file, written by rename, so the directory holds
+// exactly the live records and a damaged record costs only itself. A
+// session without a store keeps its artifacts in memory only.
 //
-// Two implementations exist:
-//
-//   - MemStore: a process-local map. Persistent() is false, which tells
-//     clients that records cannot outlive the process; the session then
-//     skips the encode/decode round-trip entirely and behaves exactly like
-//     the historical memory-only code path.
-//   - DiskStore: an append-only checksummed log with an in-memory index,
-//     read-on-demand record loading, a size-bounded LRU residency layer,
-//     and atomic (write-temp-then-rename) compaction.
-//
-// All implementations are safe for concurrent use.
+// Implementations are safe for concurrent use.
 package store
-
-import "repro/internal/obs"
 
 // NSArtifact is the namespace of encoded per-function build artifacts,
 // keyed by program-shape fingerprint + AST hash. A Store treats namespaces
-// as opaque; they keep record kinds in one log from colliding. Stores
-// written by earlier versions may also hold "verdict" and "vshape" records
-// (persisted SMT verdicts); nothing reads them, and they stay in the log
-// until the directory is cleared.
+// as opaque; they keep record kinds from colliding. A store.log written by
+// earlier versions (one append-only log for every record) is ignored: the
+// first run on such a directory rebuilds once, and the file stays until
+// it is deleted.
 const NSArtifact = "artifact"
 
 // Stats is a point-in-time snapshot of a store's counters.
@@ -36,27 +24,14 @@ type Stats struct {
 	// Hits / Misses count Get outcomes (a corrupt record reads as a miss).
 	Hits   int64 `json:"hits"`
 	Misses int64 `json:"misses"`
-	// Puts counts records accepted; DedupedPuts counts Put calls skipped
-	// because the key already held byte-identical content.
-	Puts        int64 `json:"puts"`
-	DedupedPuts int64 `json:"dedupedPuts"`
-	// Evictions counts residency-layer evictions (the record stays on
-	// disk; only the cached bytes are dropped).
-	Evictions int64 `json:"evictions"`
-	// CorruptRecords counts records rejected by checksum or framing
-	// validation, at open or at read time.
+	// Puts counts records written.
+	Puts int64 `json:"puts"`
+	// CorruptRecords counts records rejected by checksum, framing or key
+	// validation on Get.
 	CorruptRecords int64 `json:"corruptRecords"`
-	// Compactions counts completed Compact runs; LastCompactUnixNano is
-	// the wall-clock completion time of the latest (0 = never).
-	Compactions         int64 `json:"compactions"`
-	LastCompactUnixNano int64 `json:"lastCompactUnixNano"`
-	// Records is the live (indexed) record count.
+	// Records is the live record count.
 	Records int `json:"records"`
-	// ResidentBytes is the current residency-layer footprint;
-	// MaxResidentBytes is its configured bound (0 = unbounded).
-	ResidentBytes    int64 `json:"residentBytes"`
-	MaxResidentBytes int64 `json:"maxResidentBytes"`
-	// DiskBytes is the backing file size (0 for MemStore).
+	// DiskBytes is the total size of the live records.
 	DiskBytes int64 `json:"diskBytes"`
 }
 
@@ -66,28 +41,11 @@ type Store interface {
 	// Get returns the record stored under (ns, key), or ok=false if the
 	// key is absent or its record failed validation.
 	Get(ns, key string) (val []byte, ok bool, err error)
-	// Put stores val under (ns, key). Re-putting identical content is a
-	// cheap no-op; different content supersedes the old record.
+	// Put stores val under (ns, key), superseding any earlier record.
 	Put(ns, key string, val []byte) error
 	// Stat reports the store's counters.
 	Stat() Stats
-	// Compact reclaims space held by superseded or dropped records.
-	Compact() error
-	// Close flushes and releases resources. The store must not be used
-	// afterwards.
+	// Close makes the records written durable and releases resources.
+	// The store must not be used afterwards.
 	Close() error
-	// Persistent reports whether records survive process exit. Clients
-	// use this to skip encode/decode work that could never pay off.
-	Persistent() bool
-}
-
-// counters mirrors Stats into an obs.Recorder so /v1/metrics exposes
-// residency and compaction behavior. A nil recorder is a no-op.
-func publish(rec *obs.Recorder, s Stats) {
-	if rec == nil {
-		return
-	}
-	rec.Gauge("store.records").Set(int64(s.Records))
-	rec.Gauge("store.resident_bytes").Set(s.ResidentBytes)
-	rec.Gauge("store.disk_bytes").Set(s.DiskBytes)
 }

@@ -8,53 +8,39 @@ import (
 	"testing"
 )
 
-func TestMemStoreRoundTrip(t *testing.T) {
-	s := NewMem()
-	if s.Persistent() {
-		t.Fatal("MemStore must report Persistent() == false")
-	}
-	if _, ok, err := s.Get(NSArtifact, "k"); err != nil || ok {
-		t.Fatalf("empty Get = ok=%v err=%v", ok, err)
-	}
-	if err := s.Put(NSArtifact, "k", []byte("hello")); err != nil {
-		t.Fatal(err)
-	}
-	v, ok, err := s.Get(NSArtifact, "k")
-	if err != nil || !ok || string(v) != "hello" {
-		t.Fatalf("Get = %q ok=%v err=%v", v, ok, err)
-	}
-	// Namespaces do not collide.
-	if _, ok, _ := s.Get("aux", "k"); ok {
-		t.Fatal("namespace collision")
-	}
-	// Identical re-put dedups; changed content supersedes.
-	if err := s.Put(NSArtifact, "k", []byte("hello")); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Put(NSArtifact, "k", []byte("world!")); err != nil {
-		t.Fatal(err)
-	}
-	v, _, _ = s.Get(NSArtifact, "k")
-	if string(v) != "world!" {
-		t.Fatalf("superseded Get = %q", v)
-	}
-	st := s.Stat()
-	if st.Records != 1 || st.DedupedPuts != 1 || st.Puts != 2 {
-		t.Fatalf("stats = %+v", st)
-	}
-	if st.ResidentBytes != int64(len("world!")) {
-		t.Fatalf("ResidentBytes = %d", st.ResidentBytes)
-	}
-}
-
-func TestDiskStoreRoundTripAndReopen(t *testing.T) {
-	dir := t.TempDir()
+// openStore opens a DiskStore in dir, failing the test on error.
+func openStore(t *testing.T, dir string) *DiskStore {
+	t.Helper()
 	s, err := Open(dir, DiskOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !s.Persistent() {
-		t.Fatal("DiskStore must report Persistent() == true")
+	return s
+}
+
+// dirBytes sums the sizes of every file in dir, record or not.
+func dirBytes(t *testing.T, dir string) (files int, total int64) {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		fi, err := e.Info()
+		if err != nil {
+			t.Fatal(err)
+		}
+		files++
+		total += fi.Size()
+	}
+	return files, total
+}
+
+func TestDiskStoreRoundTripAndReopen(t *testing.T) {
+	dir := t.TempDir()
+	s := openStore(t, dir)
+	if _, ok, err := s.Get(NSArtifact, "key-00"); err != nil || ok {
+		t.Fatalf("empty Get = ok=%v err=%v", ok, err)
 	}
 	vals := map[string][]byte{}
 	for i := 0; i < 20; i++ {
@@ -65,15 +51,19 @@ func TestDiskStoreRoundTripAndReopen(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Supersede one, dedup another.
+	// Supersede one; an empty value is a record too.
 	vals["key-03"] = []byte("replaced")
-	if err := s.Put(NSArtifact, "key-03", vals["key-03"]); err != nil {
-		t.Fatal(err)
+	vals["key-04"] = []byte{}
+	for _, k := range []string{"key-03", "key-04"} {
+		if err := s.Put(NSArtifact, k, vals[k]); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := s.Put(NSArtifact, "key-04", vals["key-04"]); err != nil {
-		t.Fatal(err)
+	// Namespaces do not collide.
+	if _, ok, _ := s.Get("aux", "key-00"); ok {
+		t.Fatal("namespace collision")
 	}
-	if st := s.Stat(); st.DedupedPuts != 1 || st.Records != 20 {
+	if st := s.Stat(); st.Records != 20 || st.Puts != 22 {
 		t.Fatalf("stats = %+v", st)
 	}
 	for k, want := range vals {
@@ -85,12 +75,12 @@ func TestDiskStoreRoundTripAndReopen(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	// Reopen: the scan must rebuild the index with last-writer-wins.
-	s2, err := Open(dir, DiskOptions{})
-	if err != nil {
-		t.Fatal(err)
+	if _, _, err := s.Get(NSArtifact, "key-00"); err == nil {
+		t.Fatal("Get after Close succeeded")
 	}
+
+	// Reopen: every record reads back with last-writer-wins.
+	s2 := openStore(t, dir)
 	defer s2.Close()
 	if st := s2.Stat(); st.Records != 20 || st.CorruptRecords != 0 {
 		t.Fatalf("reopen stats = %+v", st)
@@ -103,66 +93,74 @@ func TestDiskStoreRoundTripAndReopen(t *testing.T) {
 	}
 }
 
-func TestDiskStoreResidencyBound(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir, DiskOptions{MaxResidentBytes: 1000})
-	if err != nil {
-		t.Fatal(err)
-	}
+// Record files are named by the hex of namespace and key, so namespaces
+// built from project IDs such as "." and ".." stay inside the directory.
+func TestDiskStoreKeysStayInDir(t *testing.T) {
+	root := t.TempDir()
+	dir := filepath.Join(root, "store")
+	s := openStore(t, dir)
 	defer s.Close()
-	for i := 0; i < 10; i++ {
-		if err := s.Put(NSArtifact, fmt.Sprintf("k%d", i), bytes.Repeat([]byte{byte(i)}, 300)); err != nil {
+	for _, project := range []string{".", "..", "a/../.."} {
+		if err := Namespaced(s, project).Put(NSArtifact, "../k", []byte(project)); err != nil {
 			t.Fatal(err)
 		}
-		if st := s.Stat(); st.ResidentBytes > 1000 {
-			t.Fatalf("resident %d exceeds bound after put %d", st.ResidentBytes, i)
+	}
+	for _, project := range []string{".", "..", "a/../.."} {
+		if v, ok, _ := Namespaced(s, project).Get(NSArtifact, "../k"); !ok || string(v) != project {
+			t.Fatalf("project %q read %q ok=%v", project, v, ok)
 		}
 	}
-	st := s.Stat()
-	if st.Evictions == 0 {
-		t.Fatalf("expected evictions, stats = %+v", st)
+	if files, _ := dirBytes(t, dir); files != 3 {
+		t.Fatalf("store directory holds %d files, want 3", files)
 	}
-	// Evicted records are still readable from disk, and reads keep the
-	// residency layer within its bound.
-	for i := 0; i < 10; i++ {
-		k := fmt.Sprintf("k%d", i)
-		v, ok, err := s.Get(NSArtifact, k)
-		if err != nil || !ok || len(v) != 300 || v[0] != byte(i) {
-			t.Fatalf("Get(%s) = len %d ok=%v err=%v", k, len(v), ok, err)
+	if files, _ := dirBytes(t, root); files != 1 {
+		t.Fatalf("a record escaped the store directory: %d entries beside it", files)
+	}
+}
+
+// A Put renames over the key's file, so superseded records take no space:
+// 400 Puts cycling over 17 keys, as a serving session's segment ring
+// does, leave the directory within 1.1x of the live bytes.
+func TestDiskStoreSupersededReclaimed(t *testing.T) {
+	dir := t.TempDir()
+	s := openStore(t, dir)
+	defer s.Close()
+	live := map[string]int{}
+	for i := 0; i < 400; i++ {
+		k := fmt.Sprintf("!delta-%02d", i%17)
+		v := bytes.Repeat([]byte{byte(i)}, 2000+(i*7919)%50000)
+		if err := s.Put(NSArtifact, k, v); err != nil {
+			t.Fatal(err)
 		}
-		if st := s.Stat(); st.ResidentBytes > 1000 {
-			t.Fatalf("resident %d exceeds bound after get %s", st.ResidentBytes, k)
-		}
+		live[k] = len(NSArtifact) + len(k) + len(v)
 	}
-	// A value larger than the whole budget is served but never cached.
-	if err := s.Put(NSArtifact, "huge", make([]byte, 2000)); err != nil {
-		t.Fatal(err)
+	var liveBytes int64
+	for _, n := range live {
+		liveBytes += int64(n)
 	}
-	if st := s.Stat(); st.ResidentBytes > 1000 {
-		t.Fatalf("resident %d exceeds bound after oversized put", st.ResidentBytes)
+	files, total := dirBytes(t, dir)
+	if files != 17 || float64(total) > 1.1*float64(liveBytes) {
+		t.Fatalf("directory holds %d files, %d bytes; want 17 files within 1.1x of %d live bytes", files, total, liveBytes)
 	}
-	if v, ok, _ := s.Get(NSArtifact, "huge"); !ok || len(v) != 2000 {
-		t.Fatalf("oversized Get = len %d ok=%v", len(v), ok)
+	if st := s.Stat(); st.Records != 17 || st.DiskBytes != total {
+		t.Fatalf("stats = %+v, want 17 records of %d bytes", st, total)
 	}
 }
 
 func TestDiskStoreTruncatedTail(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, DiskOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := openStore(t, dir)
 	if err := s.Put(NSArtifact, "a", []byte("intact record")); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Put(NSArtifact, "b", []byte("this one gets torn")); err != nil {
 		t.Fatal(err)
 	}
+	path := s.path(NSArtifact, "b")
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Tear the last record mid-payload, as a crash during append would.
-	path := LogPath(dir)
+	// Tear the record mid-payload, as a crash during its write would.
 	fi, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)
@@ -171,116 +169,131 @@ func TestDiskStoreTruncatedTail(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2, err := Open(dir, DiskOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s2 := openStore(t, dir)
 	defer s2.Close()
-	st := s2.Stat()
-	if st.CorruptRecords == 0 || st.Records != 1 {
-		t.Fatalf("stats after torn tail = %+v", st)
-	}
 	if v, ok, _ := s2.Get(NSArtifact, "a"); !ok || string(v) != "intact record" {
 		t.Fatalf("intact record lost: %q ok=%v", v, ok)
 	}
 	if _, ok, _ := s2.Get(NSArtifact, "b"); ok {
 		t.Fatal("torn record served")
 	}
-	// The truncated log must accept new appends and survive a reopen.
-	if err := s2.Put(NSArtifact, "c", []byte("after recovery")); err != nil {
+	if st := s2.Stat(); st.CorruptRecords != 1 || st.Records != 1 {
+		t.Fatalf("stats after torn record = %+v", st)
+	}
+	// The torn key accepts a new record, which survives a reopen.
+	if err := s2.Put(NSArtifact, "b", []byte("after recovery")); err != nil {
 		t.Fatal(err)
 	}
 	if err := s2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s3, err := Open(dir, DiskOptions{})
+	s3 := openStore(t, dir)
+	defer s3.Close()
+	if v, ok, _ := s3.Get(NSArtifact, "b"); !ok || string(v) != "after recovery" {
+		t.Fatalf("post-recovery put lost: %q ok=%v", v, ok)
+	}
+}
+
+// flipValueBit flips one bit inside the first occurrence of val in path.
+func flipValueBit(t *testing.T, path string, val []byte) {
+	t.Helper()
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s3.Close()
-	if v, ok, _ := s3.Get(NSArtifact, "c"); !ok || string(v) != "after recovery" {
-		t.Fatalf("post-recovery append lost: %q ok=%v", v, ok)
+	i := bytes.Index(data, val)
+	if i < 0 {
+		t.Fatal("value not found in record file")
+	}
+	data[i+len(val)/2] ^= 0x40
+	if err := os.WriteFile(path, data, 0o666); err != nil {
+		t.Fatal(err)
 	}
 }
 
 func TestDiskStoreBitFlip(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, DiskOptions{})
-	if err != nil {
+	s := openStore(t, dir)
+	a, b := bytes.Repeat([]byte("x"), 64), bytes.Repeat([]byte("y"), 64)
+	if err := s.Put(NSArtifact, "a", a); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Put(NSArtifact, "a", bytes.Repeat([]byte("x"), 64)); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Put(NSArtifact, "b", bytes.Repeat([]byte("y"), 64)); err != nil {
+	if err := s.Put(NSArtifact, "b", b); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Flip one bit inside the first record's value.
-	path := LogPath(dir)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	i := bytes.Index(data, bytes.Repeat([]byte("x"), 64))
-	if i < 0 {
-		t.Fatal("value not found in log")
-	}
-	data[i+10] ^= 0x40
-	if err := os.WriteFile(path, data, 0o666); err != nil {
-		t.Fatal(err)
-	}
+	flipValueBit(t, s.path(NSArtifact, "a"), a)
 
-	// The flip invalidates record a's checksum; the open-time scan stops
-	// there, dropping a and everything after it — detected, never served.
-	s2, err := Open(dir, DiskOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The flip invalidates a's checksum: detected, never served.
+	s2 := openStore(t, dir)
 	defer s2.Close()
-	if st := s2.Stat(); st.CorruptRecords == 0 {
-		t.Fatalf("bit flip not detected: %+v", st)
-	}
 	if v, ok, _ := s2.Get(NSArtifact, "a"); ok {
 		t.Fatalf("corrupt record served: %q", v)
+	}
+	if st := s2.Stat(); st.CorruptRecords != 1 || st.Records != 1 {
+		t.Fatalf("bit flip not detected: %+v", st)
+	}
+	if v, ok, _ := s2.Get(NSArtifact, "b"); !ok || !bytes.Equal(v, b) {
+		t.Fatalf("record after the flipped one lost: %q ok=%v", v, ok)
+	}
+}
+
+// One flipped bit costs exactly its own record: every other record,
+// including other projects' records, is still served.
+func TestDiskStoreCorruptionIsolated(t *testing.T) {
+	dir := t.TempDir()
+	s := openStore(t, dir)
+	vals := map[string][]byte{}
+	for i := 0; i < 17; i++ {
+		project := []string{DefaultProject, "alpha", "beta"}[i%3]
+		k := fmt.Sprintf("%s/k%02d", project, i)
+		vals[k] = bytes.Repeat([]byte{'a' + byte(i)}, 200)
+		if err := Namespaced(s, project).Put(NSArtifact, fmt.Sprintf("k%02d", i), vals[k]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	const victim = "alpha/k07"
+	flipValueBit(t, s.path("alpha/"+NSArtifact, "k07"), vals[victim])
+
+	s2 := openStore(t, dir)
+	defer s2.Close()
+	for i := 0; i < 17; i++ {
+		project := []string{DefaultProject, "alpha", "beta"}[i%3]
+		k := fmt.Sprintf("%s/k%02d", project, i)
+		v, ok, err := Namespaced(s2, project).Get(NSArtifact, fmt.Sprintf("k%02d", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if k == victim {
+			if ok {
+				t.Fatalf("flipped record %s served: %q", k, v)
+			}
+			continue
+		}
+		if !ok || !bytes.Equal(v, vals[k]) {
+			t.Fatalf("record %s lost to another record's corruption: %q ok=%v", k, v, ok)
+		}
+	}
+	if st := s2.Stat(); st.CorruptRecords != 1 || st.Misses != 1 || st.Hits != 16 || st.Records != 16 {
+		t.Fatalf("stats = %+v, want 1 corrupt miss, 16 hits, 16 records left", st)
 	}
 }
 
 func TestDiskStoreGetTimeCorruption(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, DiskOptions{MaxResidentBytes: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := openStore(t, dir)
 	defer s.Close()
-	if err := s.Put(NSArtifact, "a", bytes.Repeat([]byte("z"), 64)); err != nil {
+	z := bytes.Repeat([]byte("z"), 64)
+	if err := s.Put(NSArtifact, "a", z); err != nil {
 		t.Fatal(err)
 	}
-	// Drop residency so the next Get must hit the file, then corrupt the
-	// record behind the store's back.
-	s.mu.Lock()
-	for k, el := range s.res {
-		s.lru.Remove(el)
-		delete(s.res, k)
-	}
-	s.resSize = 0
-	s.mu.Unlock()
-	data, err := os.ReadFile(LogPath(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	i := bytes.Index(data, bytes.Repeat([]byte("z"), 64))
-	data[i] ^= 0x01
-	f, err := os.OpenFile(LogPath(dir), os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteAt(data[i:i+1], int64(i)); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+	// Corrupt the record behind the open store's back.
+	flipValueBit(t, s.path(NSArtifact, "a"), z)
 
 	if _, ok, err := s.Get(NSArtifact, "a"); err != nil || ok {
 		t.Fatalf("corrupt read-time Get = ok=%v err=%v, want miss", ok, err)
@@ -289,70 +302,18 @@ func TestDiskStoreGetTimeCorruption(t *testing.T) {
 	if st.CorruptRecords != 1 || st.Records != 0 {
 		t.Fatalf("stats after read-time corruption = %+v", st)
 	}
-}
-
-func TestDiskStoreCompact(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir, DiskOptions{})
-	if err != nil {
-		t.Fatal(err)
+	// The corrupt record was dropped: the next Get is a plain miss.
+	if _, ok, _ := s.Get(NSArtifact, "a"); ok {
+		t.Fatal("dropped record served")
 	}
-	// Write each key several times so the log holds garbage.
-	for round := 0; round < 5; round++ {
-		for i := 0; i < 8; i++ {
-			v := fmt.Sprintf("round-%d-key-%d-%s", round, i, bytes.Repeat([]byte("p"), 50))
-			if err := s.Put("aux", fmt.Sprintf("k%d", i), []byte(v)); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	before := s.Stat().DiskBytes
-	if err := s.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	st := s.Stat()
-	if st.DiskBytes >= before {
-		t.Fatalf("compaction did not shrink log: %d -> %d", before, st.DiskBytes)
-	}
-	if st.Compactions != 1 || st.LastCompactUnixNano == 0 || st.Records != 8 {
-		t.Fatalf("stats after compact = %+v", st)
-	}
-	// Records survive compaction, appends still work, and a reopen sees
-	// the compacted log.
-	for i := 0; i < 8; i++ {
-		v, ok, err := s.Get("aux", fmt.Sprintf("k%d", i))
-		if err != nil || !ok || !bytes.Contains(v, []byte("round-4")) {
-			t.Fatalf("post-compact Get(k%d) = %q ok=%v err=%v", i, v, ok, err)
-		}
-	}
-	if err := s.Put("aux", "post", []byte("post-compact append")); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	s2, err := Open(dir, DiskOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	if st := s2.Stat(); st.Records != 9 || st.CorruptRecords != 0 {
-		t.Fatalf("reopen-after-compact stats = %+v", st)
-	}
-	if v, ok, _ := s2.Get("aux", "post"); !ok || string(v) != "post-compact append" {
-		t.Fatalf("post-compact append lost: %q ok=%v", v, ok)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "store.log.tmp")); !os.IsNotExist(err) {
-		t.Fatalf("compaction temp file left behind: %v", err)
+	if st := s.Stat(); st.CorruptRecords != 1 || st.Misses != 2 {
+		t.Fatalf("stats after second Get = %+v", st)
 	}
 }
 
 func TestDiskStoreConcurrent(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, DiskOptions{MaxResidentBytes: 2048})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := openStore(t, dir)
 	defer s.Close()
 	done := make(chan error, 8)
 	for g := 0; g < 8; g++ {
@@ -364,8 +325,20 @@ func TestDiskStoreConcurrent(t *testing.T) {
 					done <- err
 					return
 				}
-				if got, ok, err := s.Get(NSArtifact, k); err != nil || (ok && len(got) == 0) {
-					done <- fmt.Errorf("Get(%s) ok=%v err=%v", k, ok, err)
+				// Keys are per goroutine, so the read returns exactly what
+				// this goroutine wrote.
+				if got, ok, err := s.Get(NSArtifact, k); err != nil || !ok || !bytes.Equal(got, v) {
+					done <- fmt.Errorf("Get(%s) = %d bytes ok=%v err=%v", k, len(got), ok, err)
+					return
+				}
+				// Every goroutine rewrites one shared key, racing the
+				// others' renames: a read sees one whole record.
+				if err := s.Put("shared", "k", v); err != nil {
+					done <- err
+					return
+				}
+				if got, ok, err := s.Get("shared", "k"); err != nil || !ok || len(got) < 64 || !bytes.Equal(got, bytes.Repeat(got[:1], len(got))) {
+					done <- fmt.Errorf("shared Get = %d bytes ok=%v err=%v", len(got), ok, err)
 					return
 				}
 			}
@@ -377,4 +350,33 @@ func TestDiskStoreConcurrent(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	if st := s.Stat(); st.Records != 81 || st.CorruptRecords != 0 || st.Puts != 800 {
+		t.Fatalf("stats = %+v, want 81 records, no corruption", st)
+	}
+	if files, _ := dirBytes(t, dir); files != 81 {
+		t.Fatalf("store directory holds %d files, want 81 records and no temp files", files)
+	}
+}
+
+// FuzzDecodeRecord feeds arbitrary record-file bytes to the decoder,
+// seeded with a valid record, a truncated one and an empty one. Bytes the
+// decoder accepts must be exactly the record Put would write for the
+// value it returns: a miss or the value that was put, never a panic. Run
+// it with
+//
+//	go test -run '^$' -fuzz '^FuzzDecodeRecord$' -fuzztime 10s ./internal/store
+func FuzzDecodeRecord(f *testing.F) {
+	valid := encodeRecord(NSArtifact, "!full", []byte("segment bytes"))
+	f.Add("!full", valid)
+	f.Add("!full", valid[:len(valid)-3])
+	f.Add("!full", []byte{})
+	f.Fuzz(func(t *testing.T, key string, data []byte) {
+		val, err := decodeRecord(data, NSArtifact, key)
+		if err != nil {
+			return
+		}
+		if !bytes.Equal(encodeRecord(NSArtifact, key, val), data) {
+			t.Fatalf("accepted %d bytes that do not re-encode to themselves (value %q)", len(data), val)
+		}
+	})
 }

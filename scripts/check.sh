@@ -28,6 +28,12 @@ echo "== fuzz smoke (artifact segment decoder)"
 # internal/core/testdata/fuzz/FuzzDecodeSegment/ for the plain test run.
 go test -run '^$' -fuzz '^FuzzDecodeSegment$' -fuzztime 10s ./internal/core
 
+echo "== fuzz smoke (store record decoder)"
+# Record files are untrusted too: arbitrary file bytes must read as a miss
+# or as exactly the value that was put. Crashers land under
+# internal/store/testdata/fuzz/FuzzDecodeRecord/.
+go test -run '^$' -fuzz '^FuzzDecodeRecord$' -fuzztime 10s ./internal/store
+
 echo "== examples"
 for ex in quickstart useafterfree taintcheck crossfunction memoryleak; do
     echo "-- examples/$ex"

@@ -139,8 +139,8 @@ if grep -q '"project": "beta"' "$tmpdir/tenants.json"; then
 fi
 
 stop_server
-if [ ! -s "$tmpdir/store/store.log" ]; then
-  echo "store_restart.sh: no store log was written" >&2
+if [ -z "$(find "$tmpdir/store" -maxdepth 1 -name '*.rec' -size +0c)" ]; then
+  echo "store_restart.sh: no store record file was written" >&2
   exit 1
 fi
 
