@@ -207,6 +207,9 @@ type statsDump struct {
 		TransfNs  int64 `json:"transform_ns"`
 		PTASEGNs  int64 `json:"pta_seg_ns"`
 		TotalNs   int64 `json:"total_ns"`
+		// StoreLoadNs and StoreSaveNs are -store-dir I/O, outside TotalNs.
+		StoreLoadNs int64 `json:"store_load_ns"`
+		StoreSaveNs int64 `json:"store_save_ns"`
 	} `json:"build"`
 	// Artifacts is the incremental store outcome of the (last) build
 	// round: all misses for a cold build, mostly hits for a warm
@@ -215,6 +218,7 @@ type statsDump struct {
 		Hits        int `json:"hits"`
 		Misses      int `json:"misses"`
 		Invalidated int `json:"invalidated"`
+		StoreHits   int `json:"store_hits"`
 	} `json:"artifacts"`
 	PTA      pta.Stats     `json:"pta"`
 	Checkers []checkerDump `json:"checkers"`
@@ -268,9 +272,12 @@ func buildStatsDump(a *core.Analysis, res detect.Results, rec *obs.Recorder) *st
 	d.Build.TransfNs = int64(a.Timings.Transform)
 	d.Build.PTASEGNs = int64(a.Timings.PTA + a.Timings.SEG)
 	d.Build.TotalNs = int64(a.Timings.Total())
+	d.Build.StoreLoadNs = int64(a.Timings.StoreLoad)
+	d.Build.StoreSaveNs = int64(a.Timings.StoreSave)
 	d.Artifacts.Hits = a.Artifacts.Hits
 	d.Artifacts.Misses = a.Artifacts.Misses
 	d.Artifacts.Invalidated = a.Artifacts.Invalidated
+	d.Artifacts.StoreHits = a.Artifacts.StoreHits
 	d.PTA = a.PTAStats
 	for _, cs := range res.Checkers {
 		d.Checkers = append(d.Checkers, checkerDump{Checker: cs.Checker, Stats: cs.Stats})

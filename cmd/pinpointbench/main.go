@@ -1,5 +1,5 @@
 // Command pinpointbench is the load harness for the analysis service: it
-// drives POST /v1/analyze on a running `pinpoint -serve` process with
+// drives POST /v1/analyze on a running `pinpoint serve` process with
 // declarative scenarios (cold builds, warm single-function edits, burst
 // arrivals, mixed checker sets) and reports client-observed latency
 // percentiles next to the server's own phase-attributed timing breakdown.

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sort"
+	"strconv"
 
 	"repro/internal/cond"
 	"repro/internal/ir"
@@ -27,67 +28,44 @@ import (
 // (§3.1.1, Definition 3.2). Re-deriving them costs about as much CPU as
 // decoding them (DESIGN.md "Persistent store" has the per-kind numbers),
 // and the rebuild runs on every worker inside the build wavefront instead
-// of on the single goroutine that scans segments.
+// of on the single goroutine that reads the unit records.
 // A warm-loaded artifact therefore arrives with seg == nil and its F-node
 // runs pta.Analyze and seg.Build on it (session.go). The fields are
 // encoded with the wirebin binary layout, a flat length-prefixed format
 // read with a linear scan.
 //
-// Artifacts persist in *segments*: one record holding many artifacts on a
-// single stream, instead of one record per function, so per-record store
-// and framing overhead is amortized across the whole program.
-//
-// The layout under store.NSArtifact:
-//
-//   - "!full"      — a full snapshot segment: every artifact of the program.
-//   - "!delta-NN"  — a bounded ring (NN in 00..15) of delta segments, each
-//     holding only the artifacts one commit changed.
-//
-// Every segment carries a monotonically increasing sequence number; a
-// warm load reads all present segments and keeps, per function, the
-// version from the highest-sequence segment. Commit appends a delta for
-// small change sets and rewrites "!full" when the ring is exhausted or
-// more than half the program changed, which also re-bases the ring (later
-// full supersedes earlier deltas by sequence; the store keeps one record
-// per key, so the ring's footprint is bounded).
+// Artifacts persist in one record per translation unit, a *segment*,
+// keyed "unit-<i>" under store.NSArtifact, where i is the unit's index in
+// the Update. It holds the artifacts of every function the unit defines:
+// commit rewrites a unit's record when any of its functions changed, and
+// the first Update of a session reads one record per unit that has
+// functions. The unit index is part of every AST hash, so the key adds no
+// way to invalidate an artifact; a record only ever supplies the
+// functions the current parse puts in its unit.
 //
 // A segment from a different program shape, codec version, or with a
-// corrupt stream decodes to a miss for everything in it; corruption costs
-// a rebuild, never a wrong artifact and never a panic. Decoded counts and
-// IDs are untrusted and bounds-checked before use. The cached AST
-// declaration (funcArtifact.decl) is deliberately absent: Update always
-// refreshes it from the current parse before anything reads it, so
-// persisting it would only risk staleness.
+// corrupt stream decodes to a miss for everything in it — that unit's
+// functions only; corruption costs a rebuild, never a wrong artifact and
+// never a panic. Decoded counts and IDs are untrusted and bounds-checked
+// before use. The cached AST declaration (funcArtifact.decl) is
+// deliberately absent: Update always refreshes it from the current parse
+// before anything reads it, so persisting it would only risk staleness.
 
 // artifactCodecVersion gates decoding: bump on any wire-format change so
-// old records read as misses instead of garbage. Version 4 dropped the
-// points-to result and the SEG from the record; version 3 was the first
-// wirebin layout (version 2 was the same segment scheme gob-encoded);
-// version-1 per-function records are simply never read (their keys are
-// plain function names, which the segment loader does not consult).
-const artifactCodecVersion = 4
+// old records read as misses instead of garbage. Version 5 keys one
+// record per translation unit and drops the sequence number; version 4
+// dropped the points-to result and the SEG from the record; version 3 was
+// the first wirebin layout (version 2 was gob-encoded). Records of
+// earlier layouts ("!full", "!delta-NN", or plain function names) are
+// keyed differently and never read.
+const artifactCodecVersion = 5
 
 // segMagic opens every segment record, so foreign bytes fail fast before
 // any field decoding.
 const segMagic = "ppsg"
 
-// Segment keys and ring bound. Keys start with '!' so they can never
-// collide with a function name (identifiers cannot contain '!').
-const (
-	segFullKey       = "!full"
-	segDeltaPrefix   = "!delta-"
-	maxDeltaSegments = 16
-)
-
-func segDeltaKey(slot int) string { return fmt.Sprintf("%s%02d", segDeltaPrefix, slot) }
-
-// segmentHeader opens every segment stream.
-type segmentHeader struct {
-	Version int
-	ProgFP  string
-	Seq     int64
-	Count   int
-}
+// unitKey is the store key of the segment holding unit i's artifacts.
+func unitKey(i int) string { return "unit-" + strconv.Itoa(i) }
 
 // pathFlagWire is one Mod/Ref summary entry in canonical order.
 type pathFlagWire struct {
@@ -259,13 +237,13 @@ func decodeArtifactWire(r *wirebin.Reader) (*artifactWire, error) {
 }
 
 // encodeSegment bundles the named artifacts into one segment record: a
-// magic-prefixed header followed by Count artifactWire encodings.
-func encodeSegment(progFP string, seq int64, names []string, arts map[string]*funcArtifact) ([]byte, error) {
+// magic-prefixed header (codec version, program-shape fingerprint, count)
+// followed by Count artifactWire encodings.
+func encodeSegment(progFP string, names []string, arts map[string]*funcArtifact) ([]byte, error) {
 	e := &wirebin.Writer{B: make([]byte, 0, 64<<10)}
 	e.B = append(e.B, segMagic...)
 	e.Int(artifactCodecVersion)
 	e.Str(progFP)
-	e.Varint(seq)
 	e.Int(len(names))
 	for _, name := range names {
 		w, err := exportArtifactWire(name, arts[name])
@@ -287,33 +265,31 @@ type namedArtifact struct {
 // stream error discards the whole segment (callers treat the error as a
 // miss for everything in it); an artifact that decodes but fails semantic
 // import is skipped individually.
-func decodeSegment(progFP string, data []byte) (segmentHeader, []namedArtifact, error) {
-	var hdr segmentHeader
+func decodeSegment(progFP string, data []byte) ([]namedArtifact, error) {
 	if len(data) < len(segMagic) || string(data[:len(segMagic)]) != segMagic {
-		return hdr, nil, fmt.Errorf("segment: bad magic")
+		return nil, fmt.Errorf("segment: bad magic")
 	}
 	r := wirebin.NewReader(data[len(segMagic):])
-	hdr.Version = r.Int()
-	hdr.ProgFP = r.Str()
-	hdr.Seq = r.Varint()
-	hdr.Count = r.Int()
+	version := r.Int()
+	fp := r.Str()
+	count := r.Int()
 	if err := r.Err(); err != nil {
-		return hdr, nil, fmt.Errorf("segment header: %w", err)
+		return nil, fmt.Errorf("segment header: %w", err)
 	}
-	if hdr.Version != artifactCodecVersion {
-		return hdr, nil, fmt.Errorf("segment: codec version %d, want %d", hdr.Version, artifactCodecVersion)
+	if version != artifactCodecVersion {
+		return nil, fmt.Errorf("segment: codec version %d, want %d", version, artifactCodecVersion)
 	}
-	if hdr.ProgFP != progFP {
-		return hdr, nil, fmt.Errorf("segment: program shape changed")
+	if fp != progFP {
+		return nil, fmt.Errorf("segment: program shape changed")
 	}
-	if hdr.Count < 0 || hdr.Count > r.Rest() {
-		return hdr, nil, fmt.Errorf("segment: implausible artifact count %d", hdr.Count)
+	if count < 0 || count > r.Rest() {
+		return nil, fmt.Errorf("segment: implausible artifact count %d", count)
 	}
-	out := make([]namedArtifact, 0, hdr.Count)
-	for i := 0; i < hdr.Count; i++ {
+	out := make([]namedArtifact, 0, count)
+	for i := 0; i < count; i++ {
 		w, err := decodeArtifactWire(r)
 		if err != nil {
-			return hdr, nil, fmt.Errorf("segment entry %d: %w", i, err)
+			return nil, fmt.Errorf("segment entry %d: %w", i, err)
 		}
 		art, err := importArtifact(w)
 		if err != nil {
@@ -322,7 +298,7 @@ func decodeSegment(progFP string, data []byte) (segmentHeader, []namedArtifact, 
 		art.persistedMeta = artifactMeta(progFP, art)
 		out = append(out, namedArtifact{name: w.Name, art: art})
 	}
-	return hdr, out, nil
+	return out, nil
 }
 
 // importArtifact rebuilds the front half of a funcArtifact from its wire
@@ -358,67 +334,37 @@ func importArtifact(w *artifactWire) (*funcArtifact, error) {
 	}, nil
 }
 
-// segState is the segment-ring bookkeeping a warm load recovers and every
-// commit advances.
-type segState struct {
-	next    int64 // next segment sequence number
-	deltas  int   // delta slots written since the last full (= next slot)
-	hasFull bool  // a full segment is known to be on disk
-}
-
-// loadSegments reads every artifact segment present in the store and
-// merges them by sequence number (highest wins per function). It returns
-// the merged artifact map plus the recovered ring state. Unreadable
-// segments are counted and skipped — a corrupt segment is a miss for
-// everything in it, never an error.
-func loadSegments(st store.Store, progFP string, rec *obs.Recorder) (map[string]*funcArtifact, segState) {
-	type loadedSeg struct {
-		hdr   segmentHeader
-		arts  []namedArtifact
-		delta bool
-		slot  int
-	}
-	var segs []loadedSeg
-	read := func(key string, delta bool, slot int) {
-		data, ok, err := st.Get(store.NSArtifact, key)
-		if err != nil || !ok {
-			return
+// loadSegments reads the segment of every unit that has functions and
+// returns the artifacts each supplies for the functions the current parse
+// puts in that unit (units[i] lists unit i's functions). An absent,
+// corrupt or other-shape segment is counted and skipped — a miss for that
+// unit's functions only, never an error.
+func loadSegments(st store.Store, progFP string, units [][]string, rec *obs.Recorder) map[string]*funcArtifact {
+	out := make(map[string]*funcArtifact)
+	for i, names := range units {
+		if len(names) == 0 {
+			continue
 		}
-		hdr, arts, err := decodeSegment(progFP, data)
+		data, ok, err := st.Get(store.NSArtifact, unitKey(i))
+		if err != nil || !ok {
+			continue
+		}
+		arts, err := decodeSegment(progFP, data)
 		if err != nil {
 			if rec != nil {
 				rec.Counter("store.artifact.decode_errors").Inc()
 			}
-			return
+			continue
 		}
-		segs = append(segs, loadedSeg{hdr: hdr, arts: arts, delta: delta, slot: slot})
-	}
-	read(segFullKey, false, -1)
-	for i := 0; i < maxDeltaSegments; i++ {
-		read(segDeltaKey(i), true, i)
-	}
-	sort.Slice(segs, func(i, j int) bool { return segs[i].hdr.Seq < segs[j].hdr.Seq })
-
-	out := make(map[string]*funcArtifact)
-	var ring segState
-	fullSeq := int64(-1)
-	for _, sg := range segs {
-		if !sg.delta {
-			fullSeq, ring.hasFull = sg.hdr.Seq, true
+		inUnit := make(map[string]bool, len(names))
+		for _, name := range names {
+			inUnit[name] = true
 		}
-		for _, na := range sg.arts {
-			out[na.name] = na.art
-		}
-		if sg.hdr.Seq >= ring.next {
-			ring.next = sg.hdr.Seq + 1
+		for _, na := range arts {
+			if inUnit[na.name] {
+				out[na.name] = na.art
+			}
 		}
 	}
-	// The next delta slot must not overwrite a slot still live since the
-	// last full; resume one past the highest such slot.
-	for _, sg := range segs {
-		if sg.delta && sg.hdr.Seq > fullSeq && sg.slot+1 > ring.deltas {
-			ring.deltas = sg.slot + 1
-		}
-	}
-	return out, ring
+	return out
 }

@@ -9,8 +9,8 @@ import (
 )
 
 // encodedSegment builds the Subjects[2] workload at the given scale and
-// encodes the artifacts of its first n functions (all when n is 0) into one
-// segment, as a commit writes a full snapshot or a delta.
+// encodes the artifacts of the first n functions of its largest unit (all
+// of them when n is 0) into one segment, as a commit writes a unit record.
 func encodedSegment(tb testing.TB, scale, n int) (progFP string, data []byte) {
 	tb.Helper()
 	gen := workload.Generate(workload.Subjects[2], workload.GenOptions{Scale: scale, Taint: true})
@@ -18,11 +18,16 @@ func encodedSegment(tb testing.TB, scale, n int) (progFP string, data []byte) {
 	if _, err := s.Update(gen.Units); err != nil {
 		tb.Fatal(err)
 	}
-	names := s.order
+	var names []string
+	for _, fns := range s.unitFuncs {
+		if len(fns) > len(names) {
+			names = fns
+		}
+	}
 	if n > 0 {
 		names = names[:n]
 	}
-	data, err := encodeSegment(s.progFP, 1, names, s.artifacts)
+	data, err := encodeSegment(s.progFP, names, s.artifacts)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -42,11 +47,11 @@ func decodePanic(progFP string, data []byte) (err error) {
 }
 
 // TestDecodeSegmentMutantsNoPanic is the untrusted-bytes contract of the
-// segment decoder: a record with a few random bytes overwritten decodes
+// segment decoder: a unit record with a few random bytes overwritten decodes
 // to an error (a store miss) or to artifacts, never to a panic.
 func TestDecodeSegmentMutantsNoPanic(t *testing.T) {
 	progFP, data := encodedSegment(t, 20, 0)
-	if _, arts, err := decodeSegment(progFP, data); err != nil || len(arts) == 0 {
+	if arts, err := decodeSegment(progFP, data); err != nil || len(arts) == 0 {
 		t.Fatalf("pristine segment: %d artifacts, err %v", len(arts), err)
 	}
 	const mutants = 2000
@@ -71,9 +76,9 @@ func TestDecodeSegmentMutantsNoPanic(t *testing.T) {
 }
 
 // FuzzDecodeSegment feeds arbitrary bytes to the segment decoder, seeded
-// with a real delta segment of four functions: small inputs keep the
-// fuzzer's minimization fast, and TestDecodeSegmentMutantsNoPanic covers a
-// full segment. Run it with
+// with a real segment of four functions: small inputs keep the fuzzer's
+// minimization fast, and TestDecodeSegmentMutantsNoPanic covers a whole
+// unit's record. Run it with
 //
 //	go test -run '^$' -fuzz '^FuzzDecodeSegment$' -fuzztime 10s ./internal/core
 func FuzzDecodeSegment(f *testing.F) {

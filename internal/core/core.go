@@ -68,12 +68,12 @@ type BuildOptions struct {
 }
 
 // Timings records per-stage durations. StoreLoad and StoreSave are
-// persistent-store I/O (segment read and decode on a warm restart,
-// segment encode and append at commit); they are reported separately from
-// the pipeline stages so Total keeps its historical meaning of "analysis
-// work". On a warm restart Lower and SSA stay zero for store-loaded
-// functions, while PTA and SEG include rebuilding their back half from
-// the loaded IR.
+// persistent-store I/O (reading and decoding the unit records on a warm
+// restart, encoding and writing the changed units' records at commit);
+// they are reported separately from the pipeline stages so Total keeps
+// its historical meaning of "analysis work". On a warm restart Lower and
+// SSA stay zero for store-loaded functions, while PTA and SEG include
+// rebuilding their back half from the loaded IR.
 type Timings struct {
 	Parse     time.Duration
 	Lower     time.Duration

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/checkers"
@@ -15,6 +17,7 @@ import (
 	"repro/internal/detect"
 	"repro/internal/minic"
 	"repro/internal/store"
+	"repro/internal/wirebin"
 	"repro/internal/workload"
 )
 
@@ -26,6 +29,53 @@ func openDisk(t *testing.T, dir string) *store.DiskStore {
 		t.Fatal(err)
 	}
 	return st
+}
+
+// unitFuncCounts parses each unit and returns how many functions it
+// defines.
+func unitFuncCounts(t *testing.T, units []minic.NamedSource) []int {
+	t.Helper()
+	counts := make([]int, len(units))
+	for i, u := range units {
+		f, err := minic.ParseFile(u.Name, u.Src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		counts[i] = len(f.Funcs)
+	}
+	return counts
+}
+
+// unitsWithFuncs counts the units that define at least one function: the
+// units a session persists a record for.
+func unitsWithFuncs(t *testing.T, units []minic.NamedSource) int {
+	t.Helper()
+	n := 0
+	for _, c := range unitFuncCounts(t, units) {
+		if c > 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// unitKey is the store key of unit i's artifact record.
+func unitKey(i int) string { return fmt.Sprintf("unit-%d", i) }
+
+// recordPath is the file a DiskStore in dir keeps the record (ns, key) in.
+func recordPath(dir, ns, key string) string {
+	return filepath.Join(dir, hex.EncodeToString([]byte(ns+"\x00"+key))+".rec")
+}
+
+// putLog is a Store that records the keys of every Put it forwards.
+type putLog struct {
+	store.Store
+	keys []string
+}
+
+func (p *putLog) Put(ns, key string, val []byte) error {
+	p.keys = append(p.keys, key)
+	return p.Store.Put(ns, key, val)
 }
 
 // putRetiredVerdicts writes records in the layout earlier versions used to
@@ -114,6 +164,10 @@ func TestSessionStoreWarmRestartEquivalence(t *testing.T) {
 		// rebuilt from it in the wavefront.
 		if tm := a2.Timings; tm.Lower != 0 || tm.SSA != 0 || tm.PTA == 0 || tm.SEG == 0 {
 			t.Fatalf("warm restart timings %+v: want Lower = SSA = 0 and PTA, SEG > 0", tm)
+		}
+		// One record per unit that defines functions, each read once.
+		if ss := st2.Stat(); ss.Hits != int64(unitsWithFuncs(t, gen.Units)) || ss.Misses != 0 {
+			t.Fatalf("warm restart store stats %+v: want one hit per unit with functions, no misses", ss)
 		}
 		restartRes := normalizeResults(a2.CheckAll(specs, dopts))
 		if err := st2.Close(); err != nil {
@@ -262,6 +316,174 @@ func TestSessionStoreCorruption(t *testing.T) {
 	})
 }
 
+// TestSessionStoreUnitBitFlip flips one bit in one unit's record file.
+// The damage stays inside that unit: its functions rebuild, every other
+// function loads from the store, and the reports equal a cold build's.
+func TestSessionStoreUnitBitFlip(t *testing.T) {
+	gen := workload.Generate(workload.Subjects[2], workload.GenOptions{Scale: 280, Taint: true})
+	counts := unitFuncCounts(t, gen.Units)
+	if len(counts) < 3 {
+		t.Fatalf("workload has %d units; want at least 3", len(counts))
+	}
+	const victim = 1
+	specs := checkers.All()
+	dopts := detect.Options{Workers: 1}
+	coldA, err := core.NewSession(core.BuildOptions{}).Update(gen.Units)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coldB := reportsJSON(t, normalizeResults(coldA.CheckAll(specs, dopts)).Reports)
+
+	dir := t.TempDir()
+	st1 := openDisk(t, dir)
+	if _, err := core.NewSession(core.BuildOptions{Store: st1}).Update(gen.Units); err != nil {
+		t.Fatal(err)
+	}
+	if err := st1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := recordPath(dir, store.NSArtifact, unitKey(victim))
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0x04
+	if err := os.WriteFile(path, data, 0o666); err != nil {
+		t.Fatal(err)
+	}
+
+	st2 := openDisk(t, dir)
+	defer st2.Close()
+	s2 := core.NewSession(core.BuildOptions{Store: st2})
+	a2, err := s2.Update(gen.Units)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats := s2.ArtifactStats()
+	total := a2.Sizes.Functions
+	if stats.StoreHits != total-counts[victim] || stats.Misses != counts[victim] || stats.Invalidated != 0 {
+		t.Fatalf("stats %+v: want %d store hits and %d misses (unit %d's functions)",
+			stats, total-counts[victim], counts[victim], victim)
+	}
+	if ss := st2.Stat(); ss.CorruptRecords != 1 {
+		t.Fatalf("store stats %+v: want exactly the flipped record rejected", ss)
+	}
+	got := reportsJSON(t, normalizeResults(a2.CheckAll(specs, dopts)).Reports)
+	if !bytes.Equal(got, coldB) {
+		t.Fatalf("reports differ from cold\ngot: %s\nwant: %s", got, coldB)
+	}
+}
+
+// TestSessionStoreRestartChain makes a chain of single-function edits,
+// each on a freshly reopened store — more commits than any fixed set of
+// record slots holds. Every restart must load the unedited functions,
+// report exactly what a cold build of the edited program reports, and
+// write only the edited unit's record.
+func TestSessionStoreRestartChain(t *testing.T) {
+	const edits = 21
+	gen := workload.Generate(workload.Subjects[2], workload.GenOptions{Scale: 280, Taint: true})
+	n := len(gen.Units)
+	if n < 3 {
+		t.Fatalf("workload has %d units; want at least 3", n)
+	}
+	specs := checkers.All()
+	dopts := detect.Options{Workers: 1}
+	dir := t.TempDir()
+	units := append(gen.Units[:0:0], gen.Units...)
+
+	st := openDisk(t, dir)
+	if _, err := core.NewSession(core.BuildOptions{Store: st}).Update(units); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for e := 0; e < edits; e++ {
+		u := e % n
+		units[u] = editUnit(t, units[u])
+
+		st := openDisk(t, dir)
+		log := &putLog{Store: st}
+		s := core.NewSession(core.BuildOptions{Store: log})
+		a, err := s.Update(units)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stats := s.ArtifactStats()
+		if stats.StoreHits != a.Sizes.Functions || stats.Misses == 0 || stats.Invalidated != 0 {
+			t.Fatalf("edit %d (unit %d): stats %+v, want every function loaded and the edit's frontier rebuilt", e, u, stats)
+		}
+		if want := []string{unitKey(u)}; !slices.Equal(log.keys, want) {
+			t.Fatalf("edit %d: put %v, want %v", e, log.keys, want)
+		}
+		got := reportsJSON(t, normalizeResults(a.CheckAll(specs, dopts)).Reports)
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		coldA, err := core.NewSession(core.BuildOptions{}).Update(units)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := reportsJSON(t, normalizeResults(coldA.CheckAll(specs, dopts)).Reports); !bytes.Equal(got, want) {
+			t.Fatalf("edit %d: reports differ from cold\ngot: %s\nwant: %s", e, got, want)
+		}
+	}
+}
+
+// TestSessionStoreMovedFunction moves a function to the end of another
+// unit between two processes. The old unit's record still holds the moved
+// function's old artifact, but a record only supplies the functions the
+// current parse puts in its unit: the moved function is a miss, only its
+// new unit's record is rewritten, and the next restart loads everything.
+func TestSessionStoreMovedFunction(t *testing.T) {
+	const g = `void g(bool c) { int *s = malloc(); if (c) { free(s); } log_value(*s); }`
+	before := []minic.NamedSource{
+		{Name: "a.mc", Src: "void f(bool c) { g(c); h(c); }\n" + g},
+		{Name: "b.mc", Src: `void h(bool c) { int *t = malloc(); if (c) { free(t); } }`},
+	}
+	after := []minic.NamedSource{
+		{Name: "a.mc", Src: "void f(bool c) { g(c); h(c); }"},
+		{Name: "b.mc", Src: before[1].Src + "\n" + g},
+	}
+	coldA, err := core.NewSession(core.BuildOptions{}).Update(after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	st := openDisk(t, dir)
+	if _, err := core.NewSession(core.BuildOptions{Store: st}).Update(before); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for round, want := range []struct {
+		storeHits int
+		puts      []string
+	}{
+		{2, []string{unitKey(1)}},
+		{3, nil},
+	} {
+		st := openDisk(t, dir)
+		log := &putLog{Store: st}
+		s := core.NewSession(core.BuildOptions{Store: log})
+		a, err := s.Update(after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats := s.ArtifactStats(); stats.StoreHits != want.storeHits || stats.Misses != 3-want.storeHits {
+			t.Fatalf("round %d: stats %+v, want %d store hits", round, stats, want.storeHits)
+		}
+		if !slices.Equal(log.keys, want.puts) {
+			t.Fatalf("round %d: put %v, want %v", round, log.keys, want.puts)
+		}
+		checkEquivalent(t, fmt.Sprintf("round %d", round), a, coldA, 1)
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // guardedChainUnits is firewallUnits with branches: top frees a pointer
 // under c and hands it to mid, so the use-after-free search conjoins
 // conditions inside top and grows its condition builder after the build.
@@ -341,13 +563,61 @@ func TestSessionStoreRestartAfterFirewall(t *testing.T) {
 	}
 }
 
-// TestSessionStoreOldCodecVersion restarts on a store whose full segment
-// carries codec version 3, the layout that still persisted the points-to
-// result and the SEG. The stale segment is one clean miss: the first
-// restart rebuilds every function with reports identical to a cold build
-// and rewrites the segment, and the next restart loads everything.
+// unitRecords returns the artifact records a session writes for units,
+// one per unit, read back from a scratch store.
+func unitRecords(t *testing.T, units []minic.NamedSource) [][]byte {
+	t.Helper()
+	st := openDisk(t, t.TempDir())
+	defer st.Close()
+	if _, err := core.NewSession(core.BuildOptions{Store: st}).Update(units); err != nil {
+		t.Fatal(err)
+	}
+	recs := make([][]byte, len(units))
+	for i := range units {
+		data, ok, err := st.Get(store.NSArtifact, unitKey(i))
+		if err != nil || !ok {
+			t.Fatalf("unit %d record: ok=%v err=%v", i, ok, err)
+		}
+		recs[i] = data
+	}
+	return recs
+}
+
+// ringSegment re-frames unit records as one segment of the layout earlier
+// versions wrote under "!full" and "!delta-NN": magic "ppsg", codec
+// version 4, the program-shape fingerprint, a sequence number, the entry
+// count, then the entries, which that version encoded as this one does.
+func ringSegment(t *testing.T, seq int64, recs ...[]byte) []byte {
+	t.Helper()
+	var fp string
+	var count int
+	var entries []byte
+	for _, rec := range recs {
+		r := wirebin.NewReader(rec[4:])
+		if string(rec[:4]) != "ppsg" || r.Int() != 5 {
+			t.Fatalf("record prefix %q: want ppsg, codec version 5", rec[:5])
+		}
+		fp = r.Str()
+		count += r.Int()
+		entries = append(entries, rec[len(rec)-r.Rest():]...)
+	}
+	w := &wirebin.Writer{B: []byte("ppsg")}
+	w.Int(4)
+	w.Str(fp)
+	w.Varint(seq)
+	w.Int(count)
+	return append(w.B, entries...)
+}
+
+// TestSessionStoreOldCodecVersion restarts on stores written in earlier
+// layouts: unit records whose codec version field reads 4, and a segment
+// ring — a "!full" and a "!delta-00" record — as versions before unit
+// records wrote it. Either is one clean miss: the first restart rebuilds
+// every function with reports identical to a cold build and writes the
+// unit records, and the next restart loads everything. The ring's files
+// are never read and stay untouched.
 func TestSessionStoreOldCodecVersion(t *testing.T) {
-	gen := workload.Generate(workload.Subjects[2], workload.GenOptions{Scale: 40, Taint: true})
+	gen := workload.Generate(workload.Subjects[2], workload.GenOptions{Scale: 140, Taint: true})
 	specs := checkers.All()
 	dopts := detect.Options{Workers: 1}
 	coldA, err := core.NewSession(core.BuildOptions{}).Update(gen.Units)
@@ -355,47 +625,68 @@ func TestSessionStoreOldCodecVersion(t *testing.T) {
 		t.Fatal(err)
 	}
 	coldB := reportsJSON(t, normalizeResults(coldA.CheckAll(specs, dopts)).Reports)
-	dir := t.TempDir()
-
-	// Populate the store, then rewrite the full segment's version field:
-	// "ppsg" is followed by the version as a zig-zag varint (4 → 8, 3 → 6).
-	st := openDisk(t, dir)
-	if _, err := core.NewSession(core.BuildOptions{Store: st}).Update(gen.Units); err != nil {
-		t.Fatal(err)
-	}
-	data, ok, err := st.Get(store.NSArtifact, "!full")
-	if err != nil || !ok || len(data) < 5 || string(data[:5]) != "ppsg\x08" {
-		t.Fatalf("full segment: ok=%v err=%v prefix %q", ok, err, data[:min(len(data), 5)])
-	}
-	old := append([]byte(nil), data...)
-	old[4] = 6
-	if err := st.Put(store.NSArtifact, "!full", old); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
+	recs := unitRecords(t, gen.Units)
+	// "ppsg" is followed by the version as a zig-zag varint (5 → 10, 4 → 8).
+	v4 := make(map[string][]byte)
+	for i, rec := range recs {
+		v4[unitKey(i)] = append([]byte{}, rec...)
+		v4[unitKey(i)][4] = 8
 	}
 
-	for round, wantHits := range []bool{false, true} {
+	for _, tc := range []struct {
+		name string
+		puts map[string][]byte // records the earlier version left
+		kept []string          // keys whose files must stay untouched
+	}{
+		{"codec-v4", v4, nil},
+		{"segment-ring", map[string][]byte{
+			"!full":     ringSegment(t, 0, recs...),
+			"!delta-00": ringSegment(t, 1, recs[0]),
+		}, []string{"!full", "!delta-00"}},
+	} {
+		dir := t.TempDir()
 		st := openDisk(t, dir)
-		s := core.NewSession(core.BuildOptions{Store: st})
-		a, err := s.Update(gen.Units)
-		if err != nil {
-			t.Fatal(err)
-		}
-		stats := s.ArtifactStats()
-		if wantHits && (stats.StoreHits != stats.Hits || stats.Misses != 0) {
-			t.Fatalf("round %d: stats %+v, want every function store-loaded", round, stats)
-		}
-		if !wantHits && (stats.StoreHits != 0 || stats.Misses != a.Sizes.Functions) {
-			t.Fatalf("round %d: stats %+v, want every function rebuilt", round, stats)
-		}
-		got := reportsJSON(t, normalizeResults(a.CheckAll(specs, dopts)).Reports)
-		if !bytes.Equal(got, coldB) {
-			t.Fatalf("round %d: reports differ from cold\ngot: %s\nwant: %s", round, got, coldB)
+		for key, val := range tc.puts {
+			if err := st.Put(store.NSArtifact, key, val); err != nil {
+				t.Fatal(err)
+			}
 		}
 		if err := st.Close(); err != nil {
 			t.Fatal(err)
+		}
+		kept := make(map[string][]byte)
+		for _, key := range tc.kept {
+			if kept[key], err = os.ReadFile(recordPath(dir, store.NSArtifact, key)); err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		for round, wantHits := range []bool{false, true} {
+			st := openDisk(t, dir)
+			s := core.NewSession(core.BuildOptions{Store: st})
+			a, err := s.Update(gen.Units)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stats := s.ArtifactStats()
+			if wantHits && (stats.StoreHits != a.Sizes.Functions || stats.Misses != 0) {
+				t.Fatalf("%s round %d: stats %+v, want every function store-loaded", tc.name, round, stats)
+			}
+			if !wantHits && (stats.StoreHits != 0 || stats.Misses != a.Sizes.Functions) {
+				t.Fatalf("%s round %d: stats %+v, want every function rebuilt", tc.name, round, stats)
+			}
+			got := reportsJSON(t, normalizeResults(a.CheckAll(specs, dopts)).Reports)
+			if !bytes.Equal(got, coldB) {
+				t.Fatalf("%s round %d: reports differ from cold\ngot: %s\nwant: %s", tc.name, round, got, coldB)
+			}
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+			for key, want := range kept {
+				if got, err := os.ReadFile(recordPath(dir, store.NSArtifact, key)); err != nil || !bytes.Equal(got, want) {
+					t.Fatalf("%s round %d: the earlier version's %s record was touched (err %v)", tc.name, round, key, err)
+				}
+			}
 		}
 	}
 }
@@ -420,8 +711,8 @@ func writeParentLog(t *testing.T, dir string, recs map[string][]byte) {
 }
 
 // TestSessionStoreParentLog restarts on a directory that holds only a
-// store.log written by an earlier version, holding current-version
-// segments. The log is ignored and left in place: the first restart
+// store.log written by an earlier version, holding current-version unit
+// records. The log is ignored and left in place: the first restart
 // rebuilds every function with reports identical to a cold build, and the
 // next restart loads everything from record files.
 func TestSessionStoreParentLog(t *testing.T) {
@@ -434,21 +725,13 @@ func TestSessionStoreParentLog(t *testing.T) {
 	}
 	coldB := reportsJSON(t, normalizeResults(coldA.CheckAll(specs, dopts)).Reports)
 
-	// Capture the segments a current session writes, in the parent layout.
-	scratch := t.TempDir()
-	st := openDisk(t, scratch)
-	if _, err := core.NewSession(core.BuildOptions{Store: st}).Update(gen.Units); err != nil {
-		t.Fatal(err)
-	}
-	full, ok, err := st.Get(store.NSArtifact, "!full")
-	if err != nil || !ok {
-		t.Fatalf("full segment: ok=%v err=%v", ok, err)
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
+	// Capture the records a current session writes, in the parent layout.
+	logged := make(map[string][]byte)
+	for i, rec := range unitRecords(t, gen.Units) {
+		logged[unitKey(i)] = rec
 	}
 	dir := t.TempDir()
-	writeParentLog(t, dir, map[string][]byte{"!full": full})
+	writeParentLog(t, dir, logged)
 
 	for round, wantHits := range []bool{false, true} {
 		st := openDisk(t, dir)

@@ -12,7 +12,9 @@
 package store
 
 // NSArtifact is the namespace of encoded per-function build artifacts,
-// keyed by program-shape fingerprint + AST hash. A Store treats namespaces
+// one record per translation unit keyed "unit-<i>" by the unit's index;
+// each record carries the program-shape fingerprint and every artifact its
+// AST hash, so a stale record reads as a miss. A Store treats namespaces
 // as opaque; they keep record kinds from colliding. A store.log written by
 // earlier versions (one append-only log for every record) is ignored: the
 // first run on such a directory rebuilds once, and the file stays until

@@ -22,10 +22,11 @@ go build ./...
 echo "== go test -race"
 go test -race ./...
 
-echo "== fuzz smoke (artifact segment decoder)"
-# Stored bytes are untrusted: ten seconds of mutated segments must decode to
-# an error or to artifacts, never to a panic. A crasher is written under
-# internal/core/testdata/fuzz/FuzzDecodeSegment/ for the plain test run.
+echo "== fuzz smoke (artifact unit-record decoder)"
+# Stored bytes are untrusted: ten seconds of mutated unit records must
+# decode to an error or to artifacts, never to a panic. A crasher is written
+# under internal/core/testdata/fuzz/FuzzDecodeSegment/ for the plain test
+# run.
 go test -run '^$' -fuzz '^FuzzDecodeSegment$' -fuzztime 10s ./internal/core
 
 echo "== fuzz smoke (store record decoder)"
@@ -57,6 +58,20 @@ go run ./cmd/pinpoint -checkers all -repeat 2 -stats \
 if ! grep 'artifacts:' "$tmpdir/repeat.log" | tail -n 1 | grep -q ' 0 misses,'; then
     echo "second -repeat round rebuilt artifacts:" >&2
     cat "$tmpdir/repeat.log" >&2
+    exit 1
+fi
+
+echo "== pinpoint CLI store restart (-store-dir, twice)"
+# The second run is a fresh process on the store the first one wrote, so
+# every artifact must load from it: 0 misses and a nonzero store-loaded
+# count on the artifacts line.
+for run in 1 2; do
+    go run ./cmd/pinpoint -checkers all -stats -store-dir "$tmpdir/store" \
+        examples/mc/*.mc >/dev/null 2>"$tmpdir/store$run.log" || [ $? -eq 1 ]
+done
+if ! grep 'artifacts:' "$tmpdir/store2.log" | grep -q ' 0 misses,.* [1-9][0-9]* store-loaded'; then
+    echo "restart on -store-dir rebuilt artifacts:" >&2
+    cat "$tmpdir/store2.log" >&2
     exit 1
 fi
 
